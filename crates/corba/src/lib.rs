@@ -49,7 +49,6 @@ pub mod giop;
 pub mod idl;
 mod ior;
 mod orb;
-#[cfg(target_os = "linux")]
 mod rorb;
 
 pub use error::{CorbaError, SystemExceptionKind};

@@ -3,19 +3,18 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use httpd::transport::{connect_with, Listener, Stream};
+use httpd::transport::{connect_with, Stream};
 use jpie::Value;
-use obs::sync::Mutex;
 
 use crate::error::{CorbaError, SystemExceptionKind};
 use crate::giop::{
-    decode_reply_flags, decode_request, read_message_into, write_reply_advertising,
-    write_request_parts, GiopBufs, MsgType, ReplyBody, ReplyMessage,
+    decode_reply_flags, decode_request, read_message_into, write_request_parts, GiopBufs, MsgType,
+    ReplyBody, ReplyMessage,
 };
 use crate::ior::Ior;
+use crate::rorb::ReactorOrb;
 
 /// The Dynamic Skeleton Interface: servant logic that receives untyped
 /// requests.
@@ -83,8 +82,7 @@ impl ServerRequest {
     }
 }
 
-/// Drain gate and in-flight accounting for a server ORB, shared by the
-/// threaded and reactor engines.
+/// Drain gate and in-flight accounting for a server ORB.
 ///
 /// The CORBA analogue of `httpd::ServerGate`: planned reconfiguration
 /// needs to drive an ORB to quiescence (Matevska-Meyer) — refuse *new*
@@ -128,62 +126,23 @@ impl OrbGate {
 /// A running server ORB bound to one transport endpoint, dispatching every
 /// request through a [`DynamicImplementation`].
 ///
+/// Connections on either scheme are served by the reactor engine
+/// (`rorb`): an idle connection is a parked fd, and servant calls run on
+/// a bounded dispatch pool.
+///
 /// # Examples
 ///
 /// See the [crate-level documentation](crate).
 #[derive(Debug)]
 pub struct ServerOrb {
     ior: Ior,
-    shutdown: Arc<AtomicBool>,
-    listener: Arc<Listener>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
-    conns: Arc<ConnTracker>,
     gate: Arc<OrbGate>,
-    /// Present when the reactor engine serves this ORB (`tcp://` on
-    /// Linux); `None` on the threaded `mem://` path.
-    #[cfg(target_os = "linux")]
-    reactor: Option<crate::rorb::ReactorState>,
-}
-
-/// Live connections of the threaded engine, so [`ServerOrb::shutdown`]
-/// can sever them. Without this a "dead" ORB would keep answering GIOP
-/// on established connections — a zombie a failover front could never
-/// fence off.
-#[derive(Debug, Default)]
-struct ConnTracker {
-    streams: Mutex<std::collections::HashMap<u64, Stream>>,
-    next: std::sync::atomic::AtomicU64,
-}
-
-impl ConnTracker {
-    /// Registers a duplicate handle to `stream`; returns the slot id.
-    fn track(&self, stream: &Stream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.streams.lock().insert(id, clone);
-        Some(id)
-    }
-
-    fn untrack(&self, id: u64) {
-        self.streams.lock().remove(&id);
-    }
-
-    /// Severs every live connection; their serve threads exit on the
-    /// resulting read error.
-    fn sever_all(&self) {
-        for (_, s) in self.streams.lock().drain() {
-            s.shutdown();
-        }
-    }
+    reactor: ReactorOrb,
 }
 
 impl ServerOrb {
     /// Binds `addr` (e.g. `tcp://127.0.0.1:0` or `mem://calc-orb`) and
     /// starts dispatching to `implementation`.
-    ///
-    /// `tcp://` endpoints are served by the event-driven reactor engine
-    /// (set `ORB_THREADED_TCP=1` to force the thread-per-connection
-    /// engine); `mem://` endpoints always use the threaded engine.
     ///
     /// # Errors
     ///
@@ -193,82 +152,18 @@ impl ServerOrb {
         type_id: &str,
         implementation: I,
     ) -> Result<ServerOrb, CorbaError> {
-        let listener = Arc::new(Listener::bind(addr)?);
-        let local = listener.local_addr().to_string();
         let object_key = format!("{type_id}#key").into_bytes();
-        let served_key = object_key.clone();
-        let ior = Ior::new(type_id, local, object_key);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let implementation: Arc<dyn DynamicImplementation> = Arc::new(implementation);
         let gate = Arc::new(OrbGate::default());
-
-        #[cfg(target_os = "linux")]
-        if matches!(&*listener, Listener::Tcp(_)) && std::env::var_os("ORB_THREADED_TCP").is_none()
-        {
-            let (state, accept_thread) = crate::rorb::start(
-                listener.clone(),
-                shutdown.clone(),
-                implementation,
-                served_key,
-                gate.clone(),
-            );
-            return Ok(ServerOrb {
-                ior,
-                shutdown,
-                listener,
-                accept_thread: Mutex::new(Some(accept_thread)),
-                conns: Arc::new(ConnTracker::default()),
-                gate,
-                reactor: Some(state),
-            });
-        }
-
-        let conns = Arc::new(ConnTracker::default());
-        let accept_listener = listener.clone();
-        let accept_shutdown = shutdown.clone();
-        let accept_conns = conns.clone();
-        let accept_gate = gate.clone();
-        let accept_thread = thread::Builder::new()
-            .name("orb-accept".into())
-            .spawn(move || {
-                while !accept_shutdown.load(Ordering::SeqCst) {
-                    let mut stream = match accept_listener.accept() {
-                        Ok(s) => s,
-                        Err(_) => break,
-                    };
-                    if accept_shutdown.load(Ordering::SeqCst) {
-                        stream.shutdown();
-                        break;
-                    }
-                    // A connection that goes silent (or was blackholed)
-                    // must not pin its serve thread forever.
-                    let _ = stream.set_read_timeout(Some(SERVER_IDLE_TIMEOUT));
-                    let implementation = implementation.clone();
-                    let conn_key = served_key.clone();
-                    let conn_gate = accept_gate.clone();
-                    let tracked = accept_conns.track(&stream);
-                    let thread_conns = accept_conns.clone();
-                    let _ = thread::Builder::new()
-                        .name("orb-conn".into())
-                        .spawn(move || {
-                            serve_connection(stream, implementation, conn_key, conn_gate);
-                            if let Some(id) = tracked {
-                                thread_conns.untrack(id);
-                            }
-                        });
-                }
-            })
-            .expect("spawn orb accept thread");
-
+        let reactor = ReactorOrb::start(
+            addr,
+            Arc::new(implementation),
+            object_key.clone(),
+            gate.clone(),
+        )?;
         Ok(ServerOrb {
-            ior,
-            shutdown,
-            listener,
-            accept_thread: Mutex::new(Some(accept_thread)),
-            conns,
+            ior: Ior::new(type_id, reactor.addr(), object_key),
             gate,
-            #[cfg(target_os = "linux")]
-            reactor: None,
+            reactor,
         })
     }
 
@@ -278,24 +173,18 @@ impl ServerOrb {
     }
 
     /// The ORB's drain gate (in-flight accounting + drain-mode
-    /// `TRANSIENT` refusals), engine-independent.
+    /// `TRANSIENT` refusals).
     pub fn gate(&self) -> &Arc<OrbGate> {
         &self.gate
     }
 
     /// Stops accepting connections, sweeps every live connection off
-    /// its engine, and joins the threads this ORB spawned.
+    /// the reactor, and joins the threads this ORB spawned. Severing the
+    /// established connections matters: a "dead" ORB that kept answering
+    /// GIOP on them would be a zombie a failover front could never fence
+    /// off.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.listener.close();
-        if let Some(t) = self.accept_thread.lock().take() {
-            let _ = t.join();
-        }
-        self.conns.sever_all();
-        #[cfg(target_os = "linux")]
-        if let Some(r) = &self.reactor {
-            r.shutdown();
-        }
+        self.reactor.shutdown();
     }
 }
 
@@ -305,15 +194,11 @@ impl Drop for ServerOrb {
     }
 }
 
-/// How long a server-side connection may sit idle (or mid-message)
-/// before its serve thread (or reactor deadline timer) gives up on it.
-pub(crate) const SERVER_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
-
 /// Default client-side reply timeout: a server that accepts and never
 /// replies surfaces as a transport error instead of a hang.
 const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// GIOP message counters, resolved once — `serve_connection` is the RMI
+/// GIOP message counters, resolved once — request dispatch is the RMI
 /// hot path the Table-1 RTT benchmark measures.
 pub(crate) fn giop_counters() -> &'static (Arc<obs::Counter>, Arc<obs::Counter>) {
     static COUNTERS: std::sync::OnceLock<(Arc<obs::Counter>, Arc<obs::Counter>)> =
@@ -327,66 +212,9 @@ pub(crate) fn giop_counters() -> &'static (Arc<obs::Counter>, Arc<obs::Counter>)
     })
 }
 
-fn serve_connection(
-    stream: Stream,
-    implementation: Arc<dyn DynamicImplementation>,
-    served_key: Vec<u8>,
-    gate: Arc<OrbGate>,
-) {
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    // One set of marshalling buffers per connection: after the first
-    // request, the read/encode/frame cycle allocates nothing.
-    let mut body = Vec::new();
-    let mut bufs = GiopBufs::default();
-    loop {
-        let (msg_type, big_endian) = match read_message_into(&mut reader, &mut body) {
-            Ok(Some(m)) => m,
-            Ok(None) | Err(_) => return,
-        };
-        match msg_type {
-            MsgType::CloseConnection => return,
-            // Protocol violations from a client.
-            MsgType::Reply | MsgType::LocateReply => return,
-            MsgType::LocateRequest => {
-                giop_counters().1.inc();
-                let Ok((request_id, key)) = crate::giop::decode_locate_request(&body, big_endian)
-                else {
-                    return;
-                };
-                let status = if key == served_key {
-                    crate::giop::LocateStatus::ObjectHere
-                } else {
-                    crate::giop::LocateStatus::UnknownObject
-                };
-                if crate::giop::write_locate_reply(&mut writer, request_id, status).is_err() {
-                    return;
-                }
-            }
-            MsgType::Request => {
-                giop_counters().0.inc();
-                let reply = request_reply(
-                    implementation.as_ref(),
-                    &served_key,
-                    &body,
-                    big_endian,
-                    &gate,
-                );
-                let advertise = implementation.caches_replies();
-                if write_reply_advertising(&mut writer, &reply, advertise, &mut bufs).is_err() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
 /// Decode one GIOP `Request` body, dispatch it through the servant's DSI
-/// `invoke`, and produce the `ReplyMessage` to send back. Shared by the
-/// threaded serve loop and the reactor engine.
+/// `invoke`, and produce the `ReplyMessage` to send back. Runs on a
+/// reactor dispatch thread.
 pub(crate) fn request_reply(
     implementation: &dyn DynamicImplementation,
     served_key: &[u8],
@@ -754,7 +582,7 @@ mod tests {
         let mut handles = Vec::new();
         for i in 0..8 {
             let ior = orb.ior();
-            handles.push(thread::spawn(move || {
+            handles.push(std::thread::spawn(move || {
                 let got = DiiRequest::new(&ior, "add")
                     .arg(Value::Int(i))
                     .arg(Value::Int(i))
@@ -838,6 +666,48 @@ mod tests {
         assert_eq!(v, Value::Int(3));
         conn.close();
         conn2.close();
+        orb.shutdown();
+    }
+
+    fn thread_count() -> usize {
+        std::fs::read_dir("/proc/self/task").unwrap().count()
+    }
+
+    #[test]
+    fn idle_mem_connections_cost_no_threads() {
+        // mem:// connections are socket pairs served by the reactor: an
+        // idle keep-alive GIOP connection is a parked fd, not a thread.
+        let orb = ServerOrb::init("mem://orb-idle-200", "IDL:Arith:1.0", Arith).unwrap();
+        let mut conns = vec![OrbConnection::connect(&orb.ior()).unwrap()];
+        // The first call brings up the shared reactor and this ORB's
+        // dispatch pool; count from there.
+        assert_eq!(
+            conns[0]
+                .call("add", &[Value::Int(1), Value::Int(1)])
+                .unwrap(),
+            Value::Int(2)
+        );
+        let before = thread_count();
+        for i in 1..200 {
+            let mut conn = OrbConnection::connect(&orb.ior()).unwrap();
+            let got = conn.call("add", &[Value::Int(i), Value::Int(1)]).unwrap();
+            assert_eq!(got, Value::Int(i + 1));
+            conns.push(conn);
+        }
+        let after = thread_count();
+        // Slack for threads that sibling tests start meanwhile; one
+        // thread per connection would add 199.
+        assert!(
+            after < before + 40,
+            "threads grew from {before} to {after} with 200 idle connections"
+        );
+        // Every parked connection is still live.
+        for conn in &mut conns {
+            assert_eq!(
+                conn.call("add", &[Value::Int(2), Value::Int(3)]).unwrap(),
+                Value::Int(5)
+            );
+        }
         orb.shutdown();
     }
 

@@ -1,16 +1,13 @@
-//! The event-driven GIOP server engine: `tcp://` ORB connections as
-//! reactor state machines.
+//! The GIOP serving engine: ORB connections as reactor state machines.
 //!
-//! Mirrors `httpd`'s reactor engine: a blocking acceptor registers each
-//! connection with the process-global [`reactor`] pool, GIOP frames are
-//! reassembled incrementally from whatever bytes have arrived
+//! Mirrors `httpd`'s engine and shares its acceptor
+//! ([`httpd::accept_into_reactor`]): each connection, on either scheme,
+//! is registered with the process-global [`reactor`] pool, GIOP frames
+//! are reassembled incrementally from whatever bytes have arrived
 //! ([`crate::giop::parse_frame_header`]), `LocateRequest`s are answered
 //! inline on the reactor thread, and `Request`s hop to a bounded
 //! dispatch pool where the [`DynamicImplementation`] runs. An idle
-//! connection is a parked fd plus one idle-deadline timer — no thread,
-//! matching the old per-connection `SERVER_IDLE_TIMEOUT` read timeout.
-
-#![cfg(target_os = "linux")]
+//! connection is a parked fd plus one idle-deadline timer — no thread.
 
 use std::any::Any;
 use std::fmt;
@@ -19,41 +16,41 @@ use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
-use httpd::fault::{self, ChaosMode, FaultSide, Injected};
-use httpd::transport::{Listener, Stream};
+use httpd::transport::{Listener, Start, Stream};
+use obs::sync::Mutex;
 use reactor::{Action, Ctl, DispatchPool, EventSource, Interest, Readiness};
 
-use crate::error::SystemExceptionKind;
+use crate::error::{CorbaError, SystemExceptionKind};
 use crate::giop::{
     decode_locate_request, parse_frame_header, write_locate_reply, write_reply_advertising,
     GiopBufs, LocateStatus, MsgType, ReplyBody, ReplyMessage,
 };
-use crate::orb::{
-    giop_counters, request_reply, DynamicImplementation, OrbGate, SERVER_IDLE_TIMEOUT,
-};
+use crate::orb::{giop_counters, request_reply, DynamicImplementation, OrbGate};
 
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Reactor-engine state a [`crate::ServerOrb`] owns: the id its
-/// connections are registered under and the handler pool.
-pub(crate) struct ReactorState {
-    pub(crate) server_id: u64,
-    pub(crate) dispatch: Arc<DispatchPool>,
+/// How long a server-side connection may sit idle (or mid-message)
+/// before its deadline timer drops it.
+const SERVER_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The engine a [`crate::ServerOrb`] owns: its listener and acceptor,
+/// the id its connections are registered under, and the servant pool.
+pub(crate) struct ReactorOrb {
+    listener: Arc<Listener>,
+    shutdown: Arc<AtomicBool>,
+    accept_thread: Mutex<Option<JoinHandle<()>>>,
+    server_id: u64,
+    dispatch: Arc<DispatchPool>,
 }
 
-impl fmt::Debug for ReactorState {
+impl fmt::Debug for ReactorOrb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ReactorState")
+        f.debug_struct("ReactorOrb")
+            .field("addr", &self.addr())
             .field("server_id", &self.server_id)
             .finish_non_exhaustive()
-    }
-}
-
-impl ReactorState {
-    pub(crate) fn shutdown(&self) {
-        reactor::pool().close_server(self.server_id);
-        self.dispatch.shutdown();
     }
 }
 
@@ -64,108 +61,89 @@ struct OrbShared {
     gate: Arc<OrbGate>,
 }
 
-/// Starts the reactor engine for a bound `tcp://` listener: spawns the
-/// acceptor thread and the dispatch pool.
-pub(crate) fn start(
-    listener: Arc<Listener>,
-    shutdown: Arc<AtomicBool>,
-    implementation: Arc<dyn DynamicImplementation>,
-    served_key: Vec<u8>,
-    gate: Arc<OrbGate>,
-) -> (ReactorState, JoinHandle<()>) {
-    let label = listener.local_addr().to_string();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 8);
-    let dispatch = Arc::new(DispatchPool::new(
-        &format!("orb-dispatch-{label}"),
-        workers,
-        64,
-        Some(obs::registry().gauge_with("orb_dispatch_depth", &[("server", &label)])),
-    ));
-    let server_id = reactor::pool().allocate_server_id();
-    let shared = Arc::new(OrbShared {
-        implementation,
-        served_key,
-        dispatch: dispatch.clone(),
-        gate,
-    });
-    let accept_thread = std::thread::Builder::new()
-        .name("orb-accept".into())
-        .spawn(move || accept_loop(&listener, &shutdown, &shared, server_id))
-        .expect("spawn orb accept thread");
-    (
-        ReactorState {
+impl ReactorOrb {
+    /// Binds `addr` and starts the acceptor thread and the dispatch
+    /// pool.
+    pub(crate) fn start(
+        addr: &str,
+        implementation: Arc<dyn DynamicImplementation>,
+        served_key: Vec<u8>,
+        gate: Arc<OrbGate>,
+    ) -> Result<ReactorOrb, CorbaError> {
+        let listener = Arc::new(Listener::bind(addr)?);
+        let label = listener.local_addr().to_string();
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .clamp(2, 8);
+        let dispatch = Arc::new(DispatchPool::new(
+            &format!("orb-dispatch-{label}"),
+            workers,
+            64,
+            Some(obs::registry().gauge_with("orb_dispatch_depth", &[("server", &label)])),
+        ));
+        let server_id = reactor::pool().allocate_server_id();
+        let shared = Arc::new(OrbShared {
+            implementation,
+            served_key,
+            dispatch: dispatch.clone(),
+            gate,
+        });
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let accept_listener = listener.clone();
+        let accept_shutdown = shutdown.clone();
+        let accept_thread = std::thread::Builder::new()
+            .name("orb-accept".into())
+            .spawn(move || {
+                httpd::accept_into_reactor(
+                    &accept_listener,
+                    &accept_shutdown,
+                    Some(SERVER_IDLE_TIMEOUT),
+                    |stream, start| {
+                        Box::new(GiopConn {
+                            stream,
+                            shared: shared.clone(),
+                            server_id,
+                            state: match start {
+                                Start::Now => GState::Reading,
+                                Start::After(_) => GState::DelayedStart,
+                                Start::Parked => GState::Blackholed,
+                            },
+                            inbuf: Vec::new(),
+                            bufs: GiopBufs::default(),
+                            body: Vec::new(),
+                            out: Vec::new(),
+                        })
+                    },
+                );
+            })
+            .expect("spawn orb accept thread");
+        Ok(ReactorOrb {
+            listener,
+            shutdown,
+            accept_thread: Mutex::new(Some(accept_thread)),
             server_id,
             dispatch,
-        },
-        accept_thread,
-    )
-}
+        })
+    }
 
-fn accept_loop(
-    listener: &Listener,
-    shutdown: &AtomicBool,
-    shared: &Arc<OrbShared>,
-    server_id: u64,
-) {
-    let Listener::Tcp(tcp) = listener else {
-        return; // mem:// stays on the threaded engine
-    };
-    let label = listener.local_addr().to_string();
-    while !shutdown.load(Ordering::SeqCst) {
-        let stream = match tcp.accept() {
-            Ok((s, _)) => {
-                s.set_nodelay(true).ok();
-                Stream::Tcp(s)
-            }
-            Err(_) => break,
-        };
-        if shutdown.load(Ordering::SeqCst) {
-            stream.shutdown();
-            break;
+    /// The bound address, e.g. `mem://calc-orb`.
+    pub(crate) fn addr(&self) -> String {
+        self.listener.local_addr().to_string()
+    }
+
+    /// Closes the listener, joins the acceptor, sweeps every connection
+    /// off the reactor shards, then stops the servant pool. Idempotent.
+    pub(crate) fn shutdown(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
         }
-        // Accept-side chaos: a Delay becomes a reactor timer, a
-        // blackholed connection is parked off epoll (its reads block on
-        // a condvar and must never run on a reactor thread).
-        let mut stream = stream;
-        let mut delay = None;
-        if fault::active() {
-            match fault::inject(&label, FaultSide::Accept) {
-                Some(Injected::Refuse) => {
-                    stream.shutdown();
-                    continue;
-                }
-                Some(Injected::Delay(d)) => delay = Some(d),
-                Some(Injected::Wrap(mode)) => stream = fault::wrap(stream, mode),
-                None => {}
-            }
+        self.listener.close();
+        if let Some(t) = self.accept_thread.lock().take() {
+            let _ = t.join();
         }
-        if stream.set_nonblocking(true).is_err() {
-            stream.shutdown();
-            continue;
-        }
-        let blackholed = stream.chaos_mode() == Some(ChaosMode::Blackhole);
-        let (state, interest, timeout) = if blackholed {
-            (GState::Blackholed, Interest::None, None)
-        } else if let Some(d) = delay {
-            (GState::DelayedStart, Interest::None, Some(d))
-        } else {
-            (GState::Reading, Interest::Read, Some(SERVER_IDLE_TIMEOUT))
-        };
-        let conn = GiopConn {
-            stream,
-            shared: shared.clone(),
-            server_id,
-            state,
-            inbuf: Vec::new(),
-            bufs: GiopBufs::default(),
-            out: Vec::new(),
-        };
-        reactor::pool()
-            .next_handle()
-            .register(Box::new(conn), interest, timeout);
+        reactor::pool().close_server(self.server_id);
+        self.dispatch.shutdown();
     }
 }
 
@@ -189,10 +167,12 @@ enum GState {
 enum GiopOutcome {
     Done {
         bufs: GiopBufs,
+        body: Vec<u8>,
         out: Vec<u8>,
     },
     Pending {
         bufs: GiopBufs,
+        body: Vec<u8>,
         out: Vec<u8>,
         pos: usize,
     },
@@ -208,6 +188,9 @@ struct GiopConn {
     inbuf: Vec<u8>,
     /// Recycled marshalling buffers, loaned to the dispatch worker.
     bufs: GiopBufs,
+    /// The request body handed to the dispatch worker, recycled like
+    /// `bufs`.
+    body: Vec<u8>,
     /// The reply frame being written, recycled like `bufs`.
     out: Vec<u8>,
 }
@@ -251,8 +234,8 @@ impl GiopConn {
             match self.state {
                 GState::Reading => {
                     if self.inbuf.len() < 12 {
-                        // Waiting for a frame header; the idle deadline
-                        // replaces the old per-thread read timeout.
+                        // Waiting for a frame header under the idle
+                        // deadline.
                         return Action::Rearm(Interest::Read, Some(SERVER_IDLE_TIMEOUT));
                     }
                     let header: [u8; 12] = self.inbuf[..12].try_into().expect("12 bytes");
@@ -297,7 +280,9 @@ impl GiopConn {
                             let Ok(writer) = self.stream.try_clone() else {
                                 return Action::Close;
                             };
-                            let body = self.inbuf[12..total].to_vec();
+                            let mut body = std::mem::take(&mut self.body);
+                            body.clear();
+                            body.extend_from_slice(&self.inbuf[12..total]);
                             let shared = self.shared.clone();
                             let handle = ctl.handle();
                             let token = ctl.token();
@@ -305,7 +290,7 @@ impl GiopConn {
                             let out = std::mem::take(&mut self.out);
                             let accepted = self.shared.dispatch.try_submit(move || {
                                 let outcome =
-                                    execute_request(&shared, &body, big_endian, writer, bufs, out);
+                                    execute_request(&shared, body, big_endian, writer, bufs, out);
                                 handle.resume(token, Box::new(outcome));
                             });
                             if accepted {
@@ -318,6 +303,7 @@ impl GiopConn {
                             // unboundedly. The loaned buffers went down
                             // with the rejected closure; re-seed them.
                             self.bufs = GiopBufs::default();
+                            self.body = Vec::new();
                             self.out = Vec::new();
                             // The frame is still buffered (drained only
                             // on accept), so the shed reply can carry
@@ -377,7 +363,7 @@ impl GiopConn {
 
 impl EventSource for GiopConn {
     fn fd(&self) -> RawFd {
-        self.stream.raw_fd().unwrap_or(-1)
+        self.stream.raw_fd()
     }
 
     fn server_id(&self) -> u64 {
@@ -403,8 +389,8 @@ impl EventSource for GiopConn {
                 self.state = GState::Reading;
                 self.run(ctl)
             }
-            // Idle (or mid-frame) past the deadline: same outcome as
-            // the old engine's read timeout — drop the connection.
+            // Idle (or mid-frame) past the deadline: drop the
+            // connection.
             _ => Action::Close,
         }
     }
@@ -414,15 +400,22 @@ impl EventSource for GiopConn {
             return Action::Close;
         };
         match *outcome {
-            GiopOutcome::Done { bufs, out } => {
+            GiopOutcome::Done { bufs, body, out } => {
                 self.bufs = bufs;
+                self.body = body;
                 self.out = out;
                 self.state = GState::Reading;
                 // Pipelined frames may already be buffered.
                 self.run(ctl)
             }
-            GiopOutcome::Pending { bufs, out, pos } => {
+            GiopOutcome::Pending {
+                bufs,
+                body,
+                out,
+                pos,
+            } => {
                 self.bufs = bufs;
+                self.body = body;
                 self.out = out;
                 self.state = GState::Writing { pos };
                 Action::Rearm(Interest::Write, None)
@@ -436,7 +429,7 @@ impl EventSource for GiopConn {
 /// and the first write attempt.
 fn execute_request(
     shared: &Arc<OrbShared>,
-    body: &[u8],
+    body: Vec<u8>,
     big_endian: bool,
     mut writer: Stream,
     mut bufs: GiopBufs,
@@ -445,7 +438,7 @@ fn execute_request(
     let reply = request_reply(
         shared.implementation.as_ref(),
         &shared.served_key,
-        body,
+        &body,
         big_endian,
         &shared.gate,
     );
@@ -456,8 +449,13 @@ fn execute_request(
     }
     let mut pos = 0;
     match drain_frame(&mut writer, &out, &mut pos) {
-        Ok(true) => GiopOutcome::Done { bufs, out },
-        Ok(false) => GiopOutcome::Pending { bufs, out, pos },
+        Ok(true) => GiopOutcome::Done { bufs, body, out },
+        Ok(false) => GiopOutcome::Pending {
+            bufs,
+            body,
+            out,
+            pos,
+        },
         Err(_) => GiopOutcome::Failed,
     }
 }

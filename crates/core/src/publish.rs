@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use jpie::{ClassEvent, ClassHandle};
+use jpie::{ClassEvent, ClassHandle, SubscriptionId};
 use obs::events::VersionEventKind;
 use obs::metrics::{Counter, Histogram};
 use obs::sync::{Condvar, Mutex};
@@ -160,6 +160,9 @@ pub struct PublisherCore {
     generation_latency: Mutex<Duration>,
     worker: Mutex<Option<JoinHandle<()>>>,
     listener: Mutex<Option<JoinHandle<()>>>,
+    /// The class-event subscription the listener thread drains;
+    /// cancelled on shutdown so that thread ends.
+    subscription: Mutex<Option<SubscriptionId>>,
 }
 
 impl std::fmt::Debug for PublisherCore {
@@ -199,6 +202,7 @@ impl PublisherCore {
             generation_latency: Mutex::new(Duration::ZERO),
             worker: Mutex::new(None),
             listener: Mutex::new(None),
+            subscription: Mutex::new(None),
         });
 
         // Publish the initial document synchronously (the paper's minimal
@@ -215,7 +219,8 @@ impl PublisherCore {
         core.state.lock().published_version = initial.version;
 
         // Listener thread: subscribes to class change events.
-        let events = class.subscribe();
+        let (subscription, events) = class.subscribe();
+        *core.subscription.lock() = Some(subscription);
         let listener_core = core.clone();
         let listener = thread::Builder::new()
             .name(format!("dl-listener-{}", class.name()))
@@ -227,7 +232,7 @@ impl PublisherCore {
         let worker_core = core.clone();
         let worker = thread::Builder::new()
             .name(format!("dl-worker-{}", class.name()))
-            .spawn(move || worker_loop(worker_core))
+            .spawn(move || generation_loop(worker_core))
             .expect("spawn publisher worker");
         *core.worker.lock() = Some(worker);
 
@@ -339,10 +344,15 @@ impl PublisherCore {
         if let Some(t) = self.worker.lock().take() {
             let _ = t.join();
         }
-        // The listener thread exits when the class drops its sender — or
-        // immediately if the channel is already closed. Detach rather than
-        // join, since the class (and its event sender) may outlive us.
-        drop(self.listener.lock().take());
+        // Cancelling the subscription drops the class's sender, which
+        // wakes the listener thread out of `recv` so it can be joined —
+        // the class itself may live on long after this publisher.
+        if let Some(id) = self.subscription.lock().take() {
+            self.class.unsubscribe(id);
+        }
+        if let Some(t) = self.listener.lock().take() {
+            let _ = t.join();
+        }
     }
 
     /// Called by the listener thread on every class event.
@@ -405,7 +415,7 @@ fn listener_loop(core: Arc<PublisherCore>, events: Receiver<ClassEvent>) {
     }
 }
 
-fn worker_loop(core: Arc<PublisherCore>) {
+fn generation_loop(core: Arc<PublisherCore>) {
     loop {
         // Decide whether to generate now, wait, or exit. The flag records
         // whether this round was forced (stale call / manual trigger) as
@@ -561,6 +571,35 @@ mod tests {
             assert!(Instant::now() < deadline, "timed out waiting for {what}");
             thread::sleep(Duration::from_millis(2));
         }
+    }
+
+    /// Names of this process's threads (as the kernel truncates them,
+    /// to 15 bytes).
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn shutdown_joins_the_listener_and_cancels_its_subscription() {
+        // A class outlives many publishers (a class moving between
+        // shards, a gateway restarting): each shutdown must end its
+        // listener thread instead of leaving it blocked on the class's
+        // event channel.
+        let class = test_class("Zq9");
+        for _ in 0..50 {
+            let (core, _log) = start_publisher(&class, PublicationStrategy::ChangeDriven);
+            core.shutdown();
+        }
+        assert_eq!(class.listener_count(), 0, "subscriptions left behind");
+        let leaked = thread_names()
+            .into_iter()
+            .filter(|name| name == "dl-listener-Zq9")
+            .count();
+        assert_eq!(leaked, 0, "listener threads left running");
     }
 
     #[test]

@@ -138,15 +138,6 @@ impl Connection {
     pub fn close(self) {}
 }
 
-impl Drop for Connection {
-    fn drop(&mut self) {
-        // Actively shut the transport down: the in-memory pipes have no
-        // OS-level close-on-drop, and the server's keep-alive read must
-        // see EOF promptly instead of holding a pool worker forever.
-        self.reader.get_ref().shutdown();
-    }
-}
-
 /// Splits `scheme://authority/path` into (`scheme://authority`, `/path`).
 fn split_url(url: &str) -> Result<(String, String), HttpError> {
     let scheme_end = url

@@ -302,25 +302,32 @@ pub fn status() -> String {
 }
 
 /// What the injector decided for one connection.
-///
-/// Public so reactor-based accept loops (the httpd TCP engine and the
-/// server ORB) can roll accept-side faults themselves and translate a
-/// `Delay` into a timer instead of a thread sleep; not meant for
-/// application code.
-#[doc(hidden)]
-pub enum Injected {
+pub(crate) enum Injected {
     Refuse,
     Delay(Duration),
     Wrap(ChaosMode),
 }
 
+/// Whether an installed plan has a rule (on either side) matching
+/// `endpoint`, given in any form [`crate::transport::Addr::parse`]
+/// accepts. Lets per-endpoint decisions ignore plans aimed elsewhere.
+pub fn targets(endpoint: &str) -> bool {
+    if !active() {
+        return false;
+    }
+    let canonical = crate::transport::Addr::parse(endpoint)
+        .map_or_else(|_| endpoint.to_string(), |a| a.to_string());
+    injector().state.lock().as_ref().is_some_and(|ps| {
+        ps.plan
+            .rules
+            .iter()
+            .any(|r| canonical.contains(r.endpoint.as_str()))
+    })
+}
+
 /// Rolls the installed plan for a connection to `endpoint` on `side`.
 /// Returns `None` when no rule fires.
-///
-/// Public for reactor accept loops (see [`Injected`]); not meant for
-/// application code.
-#[doc(hidden)]
-pub fn inject(endpoint: &str, side: FaultSide) -> Option<Injected> {
+pub(crate) fn inject(endpoint: &str, side: FaultSide) -> Option<Injected> {
     let inj = injector();
     let mut st = inj.state.lock();
     let ps = st.as_mut()?;
@@ -418,11 +425,8 @@ pub struct ChaosStream {
     read_timeout: Option<Duration>,
 }
 
-/// Wraps `stream` in a [`ChaosStream`] injecting `mode`. Public for
-/// reactor accept loops (see [`Injected`]); not meant for application
-/// code.
-#[doc(hidden)]
-pub fn wrap(stream: Stream, mode: ChaosMode) -> Stream {
+/// Wraps `stream` in a [`ChaosStream`] injecting `mode`.
+pub(crate) fn wrap(stream: Stream, mode: ChaosMode) -> Stream {
     Stream::Chaos(ChaosStream {
         inner: Box::new(stream),
         shared: Arc::new(ChaosShared {
@@ -437,11 +441,6 @@ pub fn wrap(stream: Stream, mode: ChaosMode) -> Stream {
 }
 
 impl ChaosStream {
-    /// The perturbation this stream injects.
-    pub(crate) fn mode(&self) -> ChaosMode {
-        self.shared.mode
-    }
-
     /// The wrapped transport stream (for fd access; reads and writes
     /// must keep going through the chaos layer).
     pub(crate) fn inner(&self) -> &Stream {
@@ -575,16 +574,21 @@ pub(crate) fn test_guard() -> obs::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::MemStream;
+    use crate::transport::{connect, Listener};
 
     /// Tests mutating the process-global injector must not interleave.
     fn injector_guard() -> obs::sync::MutexGuard<'static, ()> {
         test_guard()
     }
 
-    fn chaos_pair(mode: ChaosMode) -> (Stream, MemStream) {
-        let (a, b) = MemStream::pair();
-        (wrap(Stream::Mem(a), mode), b)
+    /// A `mem://` connection whose server half is wrapped in `mode`:
+    /// (chaos half, plain peer).
+    fn chaos_pair(mode: ChaosMode) -> (Stream, Stream) {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let name = format!("mem://chaos-pair-{}", NEXT.fetch_add(1, Ordering::Relaxed));
+        let l = Listener::bind(&name).unwrap();
+        let peer = connect(&name).unwrap();
+        (wrap(l.accept().unwrap(), mode), peer)
     }
 
     #[test]
@@ -684,16 +688,16 @@ mod tests {
         install(
             FaultPlan::seeded(1)
                 .rule(FaultRule::refuse("mem://only-this", 1.0))
-                .rule(FaultRule::blackhole("mem://srv", 1.0).on_accept()),
+                .rule(FaultRule::blackhole("mem://filter-srv", 1.0).on_accept()),
         );
         assert!(inject("mem://other", FaultSide::Connect).is_none());
         assert!(matches!(
             inject("mem://only-this", FaultSide::Connect),
             Some(Injected::Refuse)
         ));
-        assert!(inject("mem://srv", FaultSide::Connect).is_none());
+        assert!(inject("mem://filter-srv", FaultSide::Connect).is_none());
         assert!(matches!(
-            inject("mem://srv", FaultSide::Accept),
+            inject("mem://filter-srv", FaultSide::Accept),
             Some(Injected::Wrap(ChaosMode::Blackhole))
         ));
         clear();
@@ -703,7 +707,7 @@ mod tests {
     fn status_reports_rules() {
         let _g = injector_guard();
         assert_eq!(status(), "chaos off");
-        install(FaultPlan::seeded(9).rule(FaultRule::truncate("mem://t", 0.25, 10)));
+        install(FaultPlan::seeded(9).rule(FaultRule::truncate("mem://status-only", 0.25, 10)));
         let s = status();
         assert!(s.contains("seed=9"), "{s}");
         assert!(s.contains("truncate"), "{s}");

@@ -5,13 +5,17 @@
 //! as Apache Axis did. This crate supplies that substrate:
 //!
 //! * [`transport`] — a byte-stream transport abstraction with two
-//!   implementations: real TCP (used by the benchmark harness, mirroring
-//!   the paper's LAN testbed) and a deterministic in-memory duplex pipe
-//!   (used by tests and the consistency-matrix experiments),
+//!   schemes: real TCP (used by the benchmark harness, mirroring the
+//!   paper's LAN testbed) and named in-process `AF_UNIX` socket pairs
+//!   (`mem://`, used by tests and the consistency-matrix experiments),
 //! * [`Request`] / [`Response`] — HTTP/1.1 message types with parsing and
 //!   serialization,
-//! * [`HttpServer`] — a threaded server dispatching to a [`Handler`],
+//! * [`HttpServer`] — a server dispatching to a [`Handler`]; both schemes
+//!   are served by one engine, the epoll [`reactor`] with a bounded
+//!   dispatch pool,
 //! * [`HttpClient`] — a blocking client.
+//!
+//! The crate targets Linux (epoll, `AF_UNIX` socket pairs).
 //!
 //! # Examples
 //!
@@ -40,7 +44,6 @@ mod error;
 pub mod fault;
 mod message;
 mod pool;
-#[cfg(target_os = "linux")]
 mod rserver;
 mod server;
 pub mod transport;
@@ -50,4 +53,6 @@ pub use error::HttpError;
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultSide};
 pub use message::{Headers, Limits, Method, Request, Response, Status};
 pub use pool::ConnectionPool;
+#[doc(hidden)]
+pub use rserver::accept_into_reactor;
 pub use server::{Handler, HttpServer, PoolConfig, ServerGate};

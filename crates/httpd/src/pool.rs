@@ -14,12 +14,15 @@
 //! connection; the request itself runs outside the lock, so concurrent
 //! callers to one authority simply fan out over separate connections.
 //!
-//! Observability: `wire_pool_hits_total` counts requests served on a
-//! reused connection (a stale hit that falls back to a fresh socket
-//! counts as both a hit and a miss), `wire_pool_misses_total` counts
-//! fresh connects.
+//! Observability: each pool counts its own hits (requests served on a
+//! reused connection; a stale hit that falls back to a fresh socket
+//! counts as both a hit and a miss) and misses (fresh connects), read
+//! with [`ConnectionPool::hits`] / [`ConnectionPool::misses`]. The
+//! process-wide `wire_pool_hits_total` / `wire_pool_misses_total`
+//! counters aggregate every pool for `/metrics`.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::client::{Connection, HttpClient};
@@ -44,6 +47,8 @@ pub struct ConnectionPool {
     client: HttpClient,
     max_idle_per_authority: usize,
     idle: Mutex<HashMap<String, Vec<Connection>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl ConnectionPool {
@@ -55,6 +60,8 @@ impl ConnectionPool {
             client,
             max_idle_per_authority: 2,
             idle: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -81,6 +88,7 @@ impl ConnectionPool {
         let (hits, misses) = pool_counters();
         if let Some(mut conn) = self.checkout(authority) {
             hits.inc();
+            self.hits.fetch_add(1, Ordering::Relaxed);
             if let Ok(resp) = conn.send(req) {
                 self.checkin(authority, conn, &resp);
                 return Ok(resp);
@@ -89,20 +97,31 @@ impl ConnectionPool {
             // fresh socket.
         }
         misses.inc();
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let mut conn = self.client.connect(authority)?;
         let resp = conn.send(req)?;
         self.checkin(authority, conn, &resp);
         Ok(resp)
     }
 
+    /// Requests this pool served on a reused connection.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Fresh connects this pool made.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
     fn checkout(&self, authority: &str) -> Option<Connection> {
         // Chaos compatibility: fault plans roll once per *connection*
         // (see [`crate::fault`]), so reusing long-lived pooled sockets
         // would let steady-state traffic dodge injection entirely and
-        // make configured fault rates meaningless. Under an active plan
-        // the pool degrades to a connect per request; the flag check is
-        // one relaxed load, free on the production path.
-        if crate::fault::active() {
+        // make configured fault rates meaningless. Under a plan aimed at
+        // this authority the pool degrades to a connect per request; the
+        // no-plan check is one relaxed load, free on the production path.
+        if crate::fault::targets(authority) {
             self.purge(authority);
             return None;
         }
@@ -178,16 +197,14 @@ mod tests {
     fn sequential_requests_reuse_one_connection() {
         let server = HttpServer::bind("mem://pool-reuse", Echo).unwrap();
         let pool = ConnectionPool::new(HttpClient::new());
-        let (hits, misses) = pool_counters();
-        let (h0, m0) = (hits.get(), misses.get());
         for i in 0..5 {
             let req = Request::post("/", format!("r{i}").into_bytes(), "text/plain");
             let resp = pool.send(&server.base_url(), &req).unwrap();
             assert_eq!(resp.body(), format!("r{i}").as_bytes());
         }
         assert_eq!(pool.idle_count(&server.base_url()), 1);
-        assert_eq!(misses.get() - m0, 1, "one fresh connect");
-        assert_eq!(hits.get() - h0, 4, "four reuses");
+        assert_eq!(pool.misses(), 1, "one fresh connect");
+        assert_eq!(pool.hits(), 4, "four reuses");
         server.shutdown();
     }
 

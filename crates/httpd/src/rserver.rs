@@ -1,9 +1,8 @@
-//! The event-driven TCP engine: connections as reactor state machines.
+//! The serving engine: connections as reactor state machines.
 //!
-//! `tcp://` servers are served by the process-global [`reactor`] shard
-//! pool instead of the threaded worker pool (`mem://` servers keep the
-//! threaded engine — the in-memory transport has no fd to register).
-//! Each connection is one [`HttpConn`] state machine:
+//! Every `HttpServer` — `tcp://` or `mem://` — is served by the
+//! process-global [`reactor`] shard pool. Each connection is one
+//! [`HttpConn`] state machine:
 //!
 //! ```text
 //!            accept (+ chaos roll)
@@ -26,9 +25,7 @@
 //! timer: no thread, no queue slot, no `http_queue_depth` contribution.
 //! The dispatch queue (bounded at `PoolConfig::queue_depth`) is the
 //! only backpressure point — when it is full the request is shed with
-//! `503` exactly like the threaded engine's accept queue.
-
-#![cfg(target_os = "linux")]
+//! `503` + `Retry-After`.
 
 use std::any::Any;
 use std::io::{self, IoSlice, Read, Write};
@@ -36,17 +33,16 @@ use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use obs::metrics::Counter;
 use obs::sync::Mutex;
 use reactor::{Action, Ctl, DispatchPool, EventSource, Interest, Readiness};
 
 use crate::error::HttpError;
-use crate::fault::{self, ChaosMode, FaultSide, Injected};
-use crate::message::{Body, Limits, Request, Response, Status};
+use crate::message::{Body, Request, Response, Status};
 use crate::server::{http_metrics, Handler, PoolConfig};
-use crate::transport::{Addr, Listener, Stream};
+use crate::transport::{Addr, Listener, Start, Stream};
 
 /// Read chunk size while assembling a request.
 const READ_CHUNK: usize = 16 * 1024;
@@ -110,7 +106,28 @@ impl ReactorServer {
         let accept_shared = shared.clone();
         let accept_thread = std::thread::Builder::new()
             .name(format!("httpd-accept-{local}"))
-            .spawn(move || accept_loop(&accept_listener, &accept_shared, server_id))
+            .spawn(move || {
+                accept_into_reactor(
+                    &accept_listener,
+                    &accept_shared.shutdown,
+                    None,
+                    |stream, start| {
+                        http_metrics().connections.inc();
+                        Box::new(HttpConn {
+                            stream,
+                            shared: accept_shared.clone(),
+                            server_id,
+                            state: match start {
+                                Start::Now => ConnState::Reading,
+                                Start::After(_) => ConnState::DelayedStart,
+                                Start::Parked => ConnState::Blackholed,
+                            },
+                            inbuf: Vec::new(),
+                            head_buf: Vec::with_capacity(256),
+                        })
+                    },
+                );
+            })
             .expect("spawn accept thread");
         Ok(ReactorServer {
             addr: local,
@@ -150,64 +167,40 @@ impl Drop for ReactorServer {
     }
 }
 
-fn accept_loop(listener: &Listener, shared: &Arc<Shared>, server_id: u64) {
-    let Listener::Tcp(tcp) = listener else {
-        return; // mem:// never reaches the reactor engine
-    };
-    let label = listener.local_addr().to_string();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let stream = match tcp.accept() {
-            Ok((s, _)) => {
-                s.set_nodelay(true).ok();
-                Stream::Tcp(s)
-            }
-            Err(_) => break,
+/// The acceptor shared by every reactor-served protocol (HTTP here,
+/// GIOP in the `corba` crate): accepts from `listener` until `shutdown`
+/// is set, rolls the accept-side chaos, and registers the state machine
+/// `conn` builds for each connection with the reactor pool. A fresh
+/// connection is armed for reading with the `idle` deadline; an
+/// injected delay becomes a timer and a blackholed connection is parked
+/// with no interest.
+#[doc(hidden)]
+pub fn accept_into_reactor(
+    listener: &Listener,
+    shutdown: &AtomicBool,
+    idle: Option<Duration>,
+    mut conn: impl FnMut(Stream, Start) -> Box<dyn EventSource>,
+) {
+    while !shutdown.load(Ordering::SeqCst) {
+        let Ok((stream, start)) = listener.accept_chaos() else {
+            break;
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shutdown.load(Ordering::SeqCst) {
             stream.shutdown();
             break;
         }
-        // Accept-side chaos, rolled here so a Delay becomes a reactor
-        // timer instead of stalling the acceptor with a sleep.
-        let mut stream = stream;
-        let mut delay = None;
-        if fault::active() {
-            match fault::inject(&label, FaultSide::Accept) {
-                Some(Injected::Refuse) => {
-                    stream.shutdown();
-                    continue;
-                }
-                Some(Injected::Delay(d)) => delay = Some(d),
-                Some(Injected::Wrap(mode)) => stream = fault::wrap(stream, mode),
-                None => {}
-            }
-        }
-        http_metrics().connections.inc();
         if stream.set_nonblocking(true).is_err() {
             stream.shutdown();
             continue;
         }
-        // A blackholed connection must never be read (its read parks on
-        // a condvar); park it off epoll until shutdown sweeps it.
-        let blackholed = stream.chaos_mode() == Some(ChaosMode::Blackhole);
-        let (state, interest, timeout) = if blackholed {
-            (ConnState::Blackholed, Interest::None, None)
-        } else if let Some(d) = delay {
-            (ConnState::DelayedStart, Interest::None, Some(d))
-        } else {
-            (ConnState::Reading, Interest::Read, None)
-        };
-        let conn = HttpConn {
-            stream,
-            shared: shared.clone(),
-            server_id,
-            state,
-            inbuf: Vec::new(),
-            head_buf: Vec::with_capacity(256),
+        let (interest, timeout) = match start {
+            Start::Now => (Interest::Read, idle),
+            Start::After(d) => (Interest::None, Some(d)),
+            Start::Parked => (Interest::None, None),
         };
         reactor::pool()
             .next_handle()
-            .register(Box::new(conn), interest, timeout);
+            .register(conn(stream, start), interest, timeout);
     }
 }
 
@@ -282,13 +275,6 @@ enum Step {
 }
 
 impl HttpConn {
-    fn limits(&self) -> Limits {
-        Limits {
-            max_header_bytes: self.shared.cfg.max_header_bytes,
-            max_body_bytes: self.shared.cfg.max_body_bytes,
-        }
-    }
-
     /// Pulls everything currently readable into `inbuf`. Returns false
     /// when the connection is done for (EOF or hard error).
     fn fill_inbuf(&mut self) -> bool {
@@ -315,7 +301,7 @@ impl HttpConn {
         loop {
             match &mut self.state {
                 ConnState::Reading => {
-                    match Request::parse_buffered(&self.inbuf, &self.limits()) {
+                    match Request::parse_buffered(&self.inbuf, &self.shared.cfg.limits()) {
                         Ok(None) => {
                             // Partial request: arm the slow-loris clock.
                             // Empty buffer: park with no timer at all.
@@ -415,8 +401,7 @@ impl HttpConn {
             self.state = ConnState::Dispatched;
             Step::Act(Action::Suspend)
         } else {
-            // Dispatch queue saturated: shed exactly like the threaded
-            // engine's full accept queue.
+            // Dispatch queue saturated: shed with a retryable 503.
             self.shared.rejected.inc();
             self.head_buf = Vec::with_capacity(256); // loaned buf went with the closure
             self.start_write(
@@ -490,10 +475,10 @@ fn execute_request(
     }
 }
 
-/// The built-in observability endpoints every server exposes (same set
-/// as the threaded engine). `None` means the request is application
-/// traffic.
-pub(crate) fn builtin_response(req: &Request) -> Option<Response> {
+/// The built-in observability endpoints every server exposes, answered
+/// before the handler sees the request. `None` means the request is
+/// application traffic.
+fn builtin_response(req: &Request) -> Option<Response> {
     if req.method() != crate::message::Method::Get {
         return None;
     }
@@ -526,7 +511,7 @@ pub(crate) fn builtin_response(req: &Request) -> Option<Response> {
 
 impl EventSource for HttpConn {
     fn fd(&self) -> RawFd {
-        self.stream.raw_fd().unwrap_or(-1)
+        self.stream.raw_fd()
     }
 
     fn server_id(&self) -> u64 {
@@ -604,7 +589,7 @@ impl EventSource for HttpConn {
 mod tests {
     use super::*;
     use crate::client::HttpClient;
-    use crate::fault::{FaultPlan, FaultRule};
+    use crate::fault::{self, FaultPlan, FaultRule};
     use crate::server::HttpServer;
     use std::time::Duration;
 

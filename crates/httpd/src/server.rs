@@ -1,31 +1,28 @@
-//! A pooled HTTP server dispatching requests to a [`Handler`].
+//! An HTTP server dispatching requests to a [`Handler`].
 //!
-//! Connections are served by a **bounded worker pool**: one thread
-//! accepts, pushing accepted streams onto a bounded queue drained by a
-//! fixed set of worker threads. When the queue is full the server sheds
-//! load with `503 Service Unavailable` instead of spawning unbounded
-//! threads — backpressure is observable through the
-//! `http_queue_depth{server=...}` gauge and the
+//! Connections are multiplexed by the reactor engine (`rserver`):
+//! idle keep-alive connections park on epoll at no thread cost, and
+//! handlers run on a **bounded dispatch pool**. When the dispatch queue
+//! is full the server sheds load with `503 Service Unavailable` +
+//! `Retry-After` instead of queueing unboundedly — backpressure is
+//! observable through the `http_queue_depth{server=...}` gauge and the
 //! `http_rejected_total{server=...}` counter.
 //!
 //! Every server also exposes the process-wide metrics registry at
 //! `GET /metrics` in Prometheus text format, before user handlers see
 //! the request.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufRead, BufReader};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use obs::metrics::{Counter, Gauge, Histogram};
-use obs::sync::{Condvar, Mutex};
+use obs::metrics::{Counter, Histogram};
 
 use crate::error::HttpError;
-use crate::message::{Limits, Request, Response, Status};
-use crate::transport::{Addr, Listener, Stream};
+use crate::message::{Limits, Request, Response};
+use crate::rserver::ReactorServer;
+use crate::transport::Addr;
 
 /// Metric handles resolved once; the per-request path is atomic ops only.
 pub(crate) struct HttpMetrics {
@@ -54,7 +51,7 @@ pub(crate) fn http_metrics() -> &'static HttpMetrics {
 
 /// Application logic plugged into an [`HttpServer`].
 ///
-/// Handlers are shared across worker threads, so implementations must
+/// Handlers are shared across dispatch threads, so implementations must
 /// be `Send + Sync` and perform their own interior locking — the paper's
 /// call handlers are "completely multithreaded" (§5.4) and this mirrors
 /// that design.
@@ -72,8 +69,8 @@ where
     }
 }
 
-/// Per-server drain gate and in-flight accounting, shared by both
-/// engines: every request passes through it on its way to the handler.
+/// Per-server drain gate and in-flight accounting: every request passes
+/// through it on its way to the handler.
 ///
 /// Planned reconfiguration (shard migration, rolling restart) needs two
 /// things from an endpoint: an exact count of requests currently inside
@@ -141,32 +138,28 @@ impl Handler for GatedHandler {
     }
 }
 
-/// How long a worker waits for the next request on an idle keep-alive
-/// connection before considering yielding it back to the accept queue
-/// (see [`serve_connection`]). Bounds the extra latency a request can
-/// see when connections outnumber workers.
-const IDLE_POLL: Duration = Duration::from_millis(10);
-
-/// Sizing and resilience policy of an [`HttpServer`]'s worker pool.
+/// Sizing and resilience policy of an [`HttpServer`]'s dispatch pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Number of worker threads serving connections. Idle keep-alive
-    /// connections are rotated back into the queue under pressure, so
-    /// more connections than workers can stay open simultaneously.
+    /// Number of dispatch threads running the handler. Idle keep-alive
+    /// connections park on the reactor and hold no thread, so any number
+    /// of connections can stay open.
     pub workers: usize,
-    /// Maximum accepted-but-unserved connections; beyond this the accept
-    /// thread answers `503` and closes (load shedding).
+    /// Maximum parsed requests waiting for a dispatch thread; beyond
+    /// this a request is answered `503` and its connection closed (load
+    /// shedding).
     pub queue_depth: usize,
-    /// How long a worker waits for a complete request once the first
-    /// byte has arrived (slow-loris defense). `None` waits forever.
+    /// How long a connection has to deliver a complete request once its
+    /// first byte has arrived (slow-loris defense). `None` waits forever.
     pub request_read_timeout: Option<Duration>,
     /// Cap on the request line plus headers.
     pub max_header_bytes: usize,
     /// Cap on the declared request body length.
     pub max_body_bytes: usize,
-    /// Maximum time a connection may sit in the accept queue before a
-    /// worker picks it up; older entries are answered `503` +
-    /// `Retry-After` instead of stalling. `None` never sheds on age.
+    /// Maximum time a request may wait in the dispatch queue before a
+    /// thread picks it up; older requests are answered `503` +
+    /// `Retry-After` instead of being served late. `None` never sheds on
+    /// age.
     pub queue_deadline: Option<Duration>,
     /// The retry hint advertised on every load-shedding `503`.
     pub retry_after: Duration,
@@ -174,7 +167,7 @@ pub struct PoolConfig {
 
 impl Default for PoolConfig {
     fn default() -> PoolConfig {
-        let workers = thread::available_parallelism()
+        let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
             .clamp(2, 8);
@@ -203,7 +196,7 @@ impl PoolConfig {
         }
     }
 
-    fn limits(&self) -> Limits {
+    pub(crate) fn limits(&self) -> Limits {
         Limits {
             max_header_bytes: self.max_header_bytes,
             max_body_bytes: self.max_body_bytes,
@@ -211,190 +204,25 @@ impl PoolConfig {
     }
 }
 
-/// State shared between the accept thread, the workers, and `shutdown`.
-struct ServerShared {
-    shutdown: AtomicBool,
-    /// Accepted connections with their enqueue time, so workers can shed
-    /// entries that outlived the configured queue deadline.
-    queue: Mutex<std::collections::VecDeque<(Stream, Instant)>>,
-    queue_cond: Condvar,
-    cfg: PoolConfig,
-    handler: Arc<dyn Handler>,
-    /// Current accept-queue occupancy, labelled by server address.
-    queue_depth: Arc<Gauge>,
-    /// Connections shed with 503 because the queue was full.
-    rejected: Arc<Counter>,
-    /// Connections shed with 503 because they waited in the queue longer
-    /// than the configured deadline.
-    deadline_shed: Arc<Counter>,
-    /// Requests dropped because the peer did not complete them within
-    /// the request read timeout (slow-loris defense).
-    request_timeouts: Arc<Counter>,
-    /// Write-half clones of every live connection, so shutdown can wake
-    /// workers blocked in a keep-alive read (no leaked threads).
-    conns: Mutex<HashMap<u64, Stream>>,
-    next_conn_id: AtomicU64,
-}
-
-impl ServerShared {
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-/// The threaded engine: a bounded worker pool serving blocking streams.
-/// Kept for `mem://` transports (no fd to register with the reactor)
-/// and as the `HTTPD_THREADED_TCP=1` escape hatch for A/B comparison.
-pub(crate) struct PooledServer {
-    addr: Addr,
-    shared: Arc<ServerShared>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    listener: Arc<Listener>,
-}
-
-impl fmt::Debug for PooledServer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PooledServer")
-            .field("addr", &self.addr)
-            .field("workers", &self.shared.cfg.workers)
-            .field("queue_depth", &self.shared.cfg.queue_depth)
-            .finish_non_exhaustive()
-    }
-}
-
-impl PooledServer {
-    fn bind_with(
-        addr: &str,
-        handler: Arc<dyn Handler>,
-        cfg: PoolConfig,
-    ) -> Result<PooledServer, HttpError> {
-        let listener = Arc::new(Listener::bind(addr)?);
-        let local = listener.local_addr();
-        let server_label = local.to_string();
-        let r = obs::registry();
-        let shared = Arc::new(ServerShared {
-            shutdown: AtomicBool::new(false),
-            queue: Mutex::new(std::collections::VecDeque::with_capacity(cfg.queue_depth)),
-            queue_cond: Condvar::new(),
-            cfg,
-            handler,
-            queue_depth: r.gauge_with("http_queue_depth", &[("server", &server_label)]),
-            rejected: r.counter_with("http_rejected_total", &[("server", &server_label)]),
-            deadline_shed: r.counter_with("http_deadline_shed_total", &[("server", &server_label)]),
-            request_timeouts: r.counter("http_request_timeouts_total"),
-            conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
-        });
-
-        let mut workers = Vec::with_capacity(cfg.workers);
-        for i in 0..cfg.workers {
-            let shared = shared.clone();
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("httpd-worker-{local}-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker thread"),
-            );
-        }
-
-        let accept_listener = listener.clone();
-        let accept_shared = shared.clone();
-        let accept_thread = thread::Builder::new()
-            .name(format!("httpd-accept-{local}"))
-            .spawn(move || accept_loop(&accept_listener, &accept_shared))
-            .expect("spawn accept thread");
-
-        Ok(PooledServer {
-            addr: local,
-            shared,
-            accept_thread: Mutex::new(Some(accept_thread)),
-            workers: Mutex::new(workers),
-            listener,
-        })
-    }
-
-    fn addr(&self) -> &Addr {
-        &self.addr
-    }
-
-    fn pool_config(&self) -> PoolConfig {
-        self.shared.cfg
-    }
-
-    /// Stops the server promptly and leak-free: closes the listener,
-    /// sheds queued connections, shuts every live connection so workers
-    /// blocked in a keep-alive read wake up, and joins the accept thread
-    /// plus all workers.
-    fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.listener.close();
-        if let Some(t) = self.accept_thread.lock().take() {
-            let _ = t.join();
-        }
-        // Connections still queued were never served: close them.
-        {
-            let mut queue = self.shared.queue.lock();
-            for (stream, _) in queue.drain(..) {
-                stream.shutdown();
-            }
-            self.shared.queue_depth.set(0);
-        }
-        // Wake workers blocked in keep-alive reads.
-        for (_, stream) in self.shared.conns.lock().iter() {
-            stream.shutdown();
-        }
-        self.shared.queue_cond.notify_all();
-        let workers = std::mem::take(&mut *self.workers.lock());
-        for w in workers {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for PooledServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Which engine serves a bound address.
-enum Engine {
-    /// Threaded worker pool (all `mem://` servers; `tcp://` only when
-    /// forced via `HTTPD_THREADED_TCP=1`).
-    Pooled(PooledServer),
-    /// Event-driven epoll reactor (the default for `tcp://`): parked
-    /// keep-alive connections cost one registered fd, not a thread.
-    #[cfg(target_os = "linux")]
-    Reactor(crate::rserver::ReactorServer),
-}
-
 /// A running HTTP server.
 ///
-/// `tcp://` addresses are served by the event-driven reactor engine: a
-/// fixed set of epoll shards multiplexes every connection, and handlers
-/// run on a bounded dispatch pool. `mem://` addresses (and `tcp://`
-/// with `HTTPD_THREADED_TCP=1`) use the threaded worker-pool engine.
-/// Either way the public surface is identical — bounded concurrency,
-/// 503 load shedding with `Retry-After`, keep-alive, built-in
-/// `/metrics` and `/traces` endpoints — and dropping the server shuts
-/// it down, joining every thread it spawned.
+/// A fixed set of epoll shards multiplexes every connection, on either
+/// scheme, and handlers run on a bounded dispatch pool: bounded
+/// concurrency, 503 load shedding with `Retry-After`, keep-alive,
+/// built-in `/metrics` and `/traces` endpoints. Dropping the server
+/// shuts it down, joining every thread it spawned.
 ///
 /// # Examples
 ///
 /// See the [crate-level documentation](crate).
 pub struct HttpServer {
-    inner: Engine,
+    inner: ReactorServer,
     gate: Arc<ServerGate>,
 }
 
 impl fmt::Debug for HttpServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.inner {
-            Engine::Pooled(s) => s.fmt(f),
-            #[cfg(target_os = "linux")]
-            Engine::Reactor(s) => s.fmt(f),
-        }
+        self.inner.fmt(f)
     }
 }
 
@@ -430,24 +258,13 @@ impl HttpServer {
             inner: Arc::new(handler),
             gate: gate.clone(),
         });
-        #[cfg(target_os = "linux")]
-        if matches!(Addr::parse(addr)?, Addr::Tcp(_))
-            && std::env::var_os("HTTPD_THREADED_TCP").is_none()
-        {
-            let server = crate::rserver::ReactorServer::bind(addr, handler, cfg)?;
-            return Ok(HttpServer {
-                inner: Engine::Reactor(server),
-                gate,
-            });
-        }
         Ok(HttpServer {
-            inner: Engine::Pooled(PooledServer::bind_with(addr, handler, cfg)?),
+            inner: ReactorServer::bind(addr, handler, cfg)?,
             gate,
         })
     }
 
-    /// The server's drain gate (in-flight accounting + drain-mode 503s),
-    /// engine-independent.
+    /// The server's drain gate (in-flight accounting + drain-mode 503s).
     pub fn gate(&self) -> &Arc<ServerGate> {
         &self.gate
     }
@@ -459,11 +276,7 @@ impl HttpServer {
 
     /// The bound address, e.g. `tcp://127.0.0.1:41234`.
     pub fn addr(&self) -> &Addr {
-        match &self.inner {
-            Engine::Pooled(s) => s.addr(),
-            #[cfg(target_os = "linux")]
-            Engine::Reactor(s) => s.addr(),
-        }
+        self.inner.addr()
     }
 
     /// Base URL clients can connect to (same scheme syntax accepted by
@@ -474,301 +287,14 @@ impl HttpServer {
 
     /// The pool configuration this server runs with.
     pub fn pool_config(&self) -> PoolConfig {
-        match &self.inner {
-            Engine::Pooled(s) => s.pool_config(),
-            #[cfg(target_os = "linux")]
-            Engine::Reactor(s) => s.pool_config(),
-        }
+        self.inner.pool_config()
     }
 
     /// Stops the server promptly and leak-free: closes the listener,
-    /// sweeps every live connection off its engine, and joins every
+    /// sweeps every live connection off the reactor, and joins every
     /// thread the server spawned. Idempotent.
     pub fn shutdown(&self) {
-        match &self.inner {
-            Engine::Pooled(s) => s.shutdown(),
-            #[cfg(target_os = "linux")]
-            Engine::Reactor(s) => s.shutdown(),
-        }
-    }
-}
-
-fn accept_loop(listener: &Listener, shared: &Arc<ServerShared>) {
-    while !shared.is_shutdown() {
-        let stream = match listener.accept() {
-            Ok(s) => s,
-            Err(_) => break,
-        };
-        if shared.is_shutdown() {
-            stream.shutdown();
-            break;
-        }
-        let mut queue = shared.queue.lock();
-        if queue.len() >= shared.cfg.queue_depth {
-            drop(queue);
-            // Saturated: shed load instead of queueing unboundedly.
-            shared.rejected.inc();
-            shed_unavailable(stream, "server busy", shared.cfg.retry_after);
-            continue;
-        }
-        // Counted at accept, not in `serve_connection`: a rotated
-        // keep-alive connection re-enters the serve loop many times but
-        // is still one connection.
-        http_metrics().connections.inc();
-        queue.push_back((stream, Instant::now()));
-        shared.queue_depth.set(queue.len() as i64);
-        drop(queue);
-        shared.queue_cond.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Arc<ServerShared>) {
-    // Scratch buffer for response heads, reused across every request
-    // this worker serves.
-    let mut scratch: Vec<u8> = Vec::with_capacity(512);
-    loop {
-        let (stream, enqueued_at) = {
-            let mut queue = shared.queue.lock();
-            loop {
-                if let Some(entry) = queue.pop_front() {
-                    shared.queue_depth.set(queue.len() as i64);
-                    break entry;
-                }
-                if shared.is_shutdown() {
-                    return;
-                }
-                shared.queue_cond.wait(&mut queue);
-            }
-        };
-        // Entries that outlived the queue deadline are answered with a
-        // retryable 503 instead of being served arbitrarily late — the
-        // client's budget is better spent on a fresh attempt.
-        if let Some(deadline) = shared.cfg.queue_deadline {
-            if enqueued_at.elapsed() > deadline {
-                shared.deadline_shed.inc();
-                shed_unavailable(stream, "request deadline exceeded", shared.cfg.retry_after);
-                continue;
-            }
-        }
-        if let Some(idle) = serve_connection(stream, shared, &mut scratch) {
-            // The connection yielded while idle: rotate it to the back of
-            // the queue so the worker can serve waiting connections. The
-            // rotation may briefly exceed `queue_depth`; the overshoot is
-            // bounded by the number of live connections.
-            let mut queue = shared.queue.lock();
-            if shared.is_shutdown() {
-                // The shutdown drain already ran; nobody will pop this
-                // stream again, so close it here.
-                idle.shutdown();
-            } else {
-                queue.push_back((idle, Instant::now()));
-                shared.queue_depth.set(queue.len() as i64);
-                drop(queue);
-                shared.queue_cond.notify_one();
-            }
-        }
-    }
-}
-
-/// Answers `503` with a `Retry-After` hint and closes the connection.
-fn shed_unavailable(mut stream: Stream, msg: &str, retry_after: Duration) {
-    let mut resp = Response::unavailable(msg, retry_after);
-    resp.headers_mut().set("Connection", "close");
-    let _ = resp.write_to(&mut stream);
-    stream.shutdown();
-}
-
-/// Deregisters and closes the connection when the serve loop exits by
-/// any path. Closing here is load-bearing: a worker that stops serving
-/// a connection without closing it (e.g. it observed the shutdown flag
-/// after the registry sweep already ran) would leave the peer's cached
-/// keep-alive connection half-alive — writable but never read — and
-/// the peer's next request would block forever.
-struct ConnGuard<'a> {
-    shared: &'a ServerShared,
-    id: u64,
-    /// Cleared when the connection is being requeued rather than
-    /// abandoned: the stream goes back to the accept queue alive, and
-    /// the shutdown path covers queued streams via the queue drain.
-    close_on_drop: bool,
-}
-
-impl ConnGuard<'_> {
-    fn release(&mut self) {
-        self.close_on_drop = false;
-    }
-}
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(stream) = self.shared.conns.lock().remove(&self.id) {
-            if self.close_on_drop {
-                stream.shutdown();
-            }
-        }
-    }
-}
-
-/// Serves one connection with keep-alive. Returns `Some(stream)` when
-/// the connection went idle while other connections were waiting in the
-/// accept queue — the caller rotates it to the back of the queue so a
-/// fixed pool of workers can multiplex more keep-alive connections than
-/// it has threads (idle peers must not starve new ones).
-fn serve_connection(
-    stream: Stream,
-    shared: &Arc<ServerShared>,
-    scratch: &mut Vec<u8>,
-) -> Option<Stream> {
-    let metrics = http_metrics();
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return None,
-    };
-    // Register a second clone so shutdown can wake our blocking read.
-    let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-    match stream.try_clone() {
-        Ok(s) => {
-            shared.conns.lock().insert(id, s);
-        }
-        Err(_) => return None,
-    }
-    let mut guard = ConnGuard {
-        shared,
-        id,
-        close_on_drop: true,
-    };
-    let limits = shared.cfg.limits();
-    let mut reader = BufReader::new(stream);
-    let mut writer = write_half;
-    loop {
-        // Idle wait for the next request head, polled with a short
-        // timeout: a worker parked on an idle keep-alive connection must
-        // yield it when other connections are queued behind it.
-        if reader.buffer().is_empty() {
-            let _ = reader.get_mut().set_read_timeout(Some(IDLE_POLL));
-            loop {
-                if shared.is_shutdown() {
-                    return None;
-                }
-                match reader.fill_buf() {
-                    Ok(_) => break, // data (or EOF) — let the parser see it
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        if !shared.queue.lock().is_empty() {
-                            // Someone is waiting for a worker; hand the
-                            // idle stream back for rotation.
-                            let _ = reader.get_mut().set_read_timeout(None);
-                            guard.release();
-                            return Some(reader.into_inner());
-                        }
-                    }
-                    Err(_) => return None,
-                }
-            }
-            // First bytes have arrived: the peer now has a bounded window
-            // to deliver the complete request (slow-loris defense).
-            let _ = reader
-                .get_mut()
-                .set_read_timeout(shared.cfg.request_read_timeout);
-        }
-        let req = match Request::read_from_limited(&mut reader, &limits) {
-            Ok(Some(r)) => r,
-            Ok(None) => return None, // peer closed keep-alive connection
-            Err(HttpError::UnexpectedEof) => return None,
-            Err(HttpError::Timeout) => {
-                shared.request_timeouts.inc();
-                let mut resp = Response::new(
-                    Status::REQUEST_TIMEOUT,
-                    b"request not completed in time".to_vec(),
-                    "text/plain",
-                );
-                resp.headers_mut().set("Connection", "close");
-                let _ = resp.write_to_buffered(scratch, &mut writer);
-                return None;
-            }
-            Err(_) => {
-                obs::registry()
-                    .counter("http_malformed_requests_total")
-                    .inc();
-                let _ = Response::bad_request("malformed request")
-                    .write_to_buffered(scratch, &mut writer);
-                return None;
-            }
-        };
-        let close = req
-            .headers()
-            .get("Connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        // The built-in observability endpoint: answered here so every
-        // server (SOAP, CORBA interface docs, static baselines) exposes
-        // it without handler cooperation. Not counted as app traffic.
-        let mut resp = if req.method() == crate::message::Method::Get && req.path() == "/metrics" {
-            let mut body = obs::registry().snapshot().render_prometheus();
-            // Exemplars link histogram buckets to recent tail-sampled
-            // trace ids (comment lines, so plain scrapers stay happy).
-            body.push_str(&obs::tracectx::render_exemplars());
-            Response::ok(body.into_bytes(), "text/plain; version=0.0.4")
-        } else if req.method() == crate::message::Method::Get && req.path() == "/traces" {
-            Response::ok(
-                obs::tracectx::traces_json().into_bytes(),
-                "application/json",
-            )
-        } else if req.method() == crate::message::Method::Get && req.path().starts_with("/traces/")
-        {
-            let prefix = &req.path()["/traces/".len()..];
-            match obs::tracectx::store().find(prefix) {
-                Some(t) => Response::ok(
-                    obs::tracectx::trace_json(&t).into_bytes(),
-                    "application/json",
-                ),
-                None => Response::new(
-                    Status::NOT_FOUND,
-                    b"no retained trace matches that prefix\n".to_vec(),
-                    "text/plain",
-                ),
-            }
-        } else {
-            metrics.requests.inc();
-            let span = obs::trace::Span::timed(metrics.request_ns.clone());
-            obs::trace::verbose_event(
-                "httpd",
-                "request",
-                format!("{} {}", req.method(), req.path()),
-            );
-            let resp = shared.handler.handle(&req);
-            span.finish();
-            match resp.status() {
-                200..=299 => metrics.responses_2xx.inc(),
-                400..=499 => metrics.responses_4xx.inc(),
-                500..=599 => metrics.responses_5xx.inc(),
-                _ => {}
-            }
-            resp
-        };
-        if close {
-            resp.headers_mut().set("Connection", "close");
-        }
-        if resp.write_to_buffered(scratch, &mut writer).is_err() {
-            return None;
-        }
-        if close {
-            return None;
-        }
-        // Fairness: a busy keep-alive connection must not monopolize a
-        // worker while other connections wait in the accept queue — with
-        // pooled clients issuing back-to-back requests, the idle poll
-        // above never fires and a new connection could starve. Rotate
-        // after each response when someone is waiting (only with no
-        // pipelined bytes buffered; those would be lost across the hop).
-        if reader.buffer().is_empty() && !shared.queue.lock().is_empty() {
-            let _ = reader.get_mut().set_read_timeout(None);
-            guard.release();
-            return Some(reader.into_inner());
-        }
+        self.inner.shutdown();
     }
 }
 
@@ -777,7 +303,8 @@ mod tests {
     use super::*;
     use crate::client::HttpClient;
     use crate::message::Status;
-    use std::time::Duration;
+    use obs::sync::{Condvar, Mutex};
+    use std::thread;
 
     fn echo_handler(req: &Request) -> Response {
         Response::ok(
@@ -926,14 +453,14 @@ mod tests {
 
     #[test]
     fn shutdown_wakes_idle_keep_alive_connections() {
-        // A worker is parked in a keep-alive read; shutdown must close
-        // the connection and join the worker promptly (the pre-pool
-        // server leaked one thread per such connection).
+        // An idle keep-alive connection is parked on the reactor;
+        // shutdown must sweep it closed and join the server's threads
+        // promptly.
         let server = HttpServer::bind("mem://srv-prompt", echo_handler).unwrap();
         let mut conn = HttpClient::new().connect(&server.base_url()).unwrap();
         conn.send(&Request::get("/warm")).unwrap();
         let start = std::time::Instant::now();
-        server.shutdown(); // joins accept + all workers
+        server.shutdown(); // joins the acceptor + dispatch threads
         assert!(
             start.elapsed() < Duration::from_secs(5),
             "shutdown blocked on a keep-alive read"
@@ -943,8 +470,8 @@ mod tests {
 
     #[test]
     fn pool_saturation_rejects_with_503_and_queue_drains() {
-        // 1 worker + queue of 1: the first connection occupies the
-        // worker, the second waits in the queue, the third is shed.
+        // 1 dispatch thread + queue of 1: the first request occupies the
+        // thread, the second waits in the queue, the third is shed.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let entered = Arc::new(AtomicU64::new(0));
         let handler_gate = gate.clone();
@@ -1009,10 +536,10 @@ mod tests {
 
     #[test]
     fn idle_keep_alive_connections_do_not_starve_new_ones() {
-        // One worker, several idle keep-alive connections: a new
-        // connection must still get served (the worker rotates idle
-        // connections back into the queue instead of blocking on one),
-        // and the rotated connections must stay usable afterwards.
+        // One dispatch thread, several idle keep-alive connections: a
+        // new connection must still get served (idle connections park
+        // on the reactor and hold no thread), and the idle connections
+        // must stay usable afterwards.
         let server = HttpServer::bind_with(
             "mem://srv-rotate",
             echo_handler,
@@ -1029,10 +556,10 @@ mod tests {
         let mut idle2 = client.connect(&base).unwrap();
         assert_eq!(idle1.send(&Request::get("/warm1")).unwrap().status(), 200);
         assert_eq!(idle2.send(&Request::get("/warm2")).unwrap().status(), 200);
-        // Both connections are now idle; one of them pins the worker.
+        // Both connections are now idle.
         let fresh = client.get(&format!("{base}/fresh")).unwrap();
         assert_eq!(fresh.body_str(), "GET /fresh");
-        // The idle connections were rotated, not closed: they still work.
+        // The idle connections were parked, not closed: they still work.
         assert_eq!(idle1.send(&Request::get("/again1")).unwrap().status(), 200);
         assert_eq!(idle2.send(&Request::get("/again2")).unwrap().status(), 200);
         server.shutdown();

@@ -1,28 +1,31 @@
-//! Byte-stream transports: TCP and an in-memory duplex pipe.
+//! Byte-stream transports: TCP and named in-process socket pairs.
 //!
 //! Addresses are URL-like strings:
 //!
 //! * `tcp://127.0.0.1:8080` — a real TCP socket (use port `0` to let the OS
 //!   pick a free port; the bound address is reported by
 //!   [`Listener::local_addr`]),
-//! * `mem://name` — a named endpoint in a process-global registry backed by
-//!   lock-and-condvar byte pipes. The in-memory transport is fully
-//!   deterministic, which the consistency-matrix experiments rely on.
+//! * `mem://name` — a named endpoint in a process-global registry. Each
+//!   connection is an `AF_UNIX` socket pair made in-process: no ports, no
+//!   filesystem paths, and an fd the reactor can watch like any socket.
 //!
 //! Both produce a [`Stream`] implementing [`Read`] + [`Write`], so every
-//! protocol layer above (HTTP, GIOP) is transport-agnostic.
+//! protocol layer above (HTTP, GIOP) is transport-agnostic, and both are
+//! served by the same reactor engine.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use obs::sync::{Condvar, Mutex};
 
 use crate::error::HttpError;
-use crate::fault::{self, ChaosStream, FaultSide, Injected};
+use crate::fault::{self, ChaosMode, ChaosStream, FaultSide, Injected};
 
 /// Address of a transport endpoint.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -80,8 +83,8 @@ impl fmt::Display for Addr {
 pub enum Stream {
     /// A TCP connection.
     Tcp(TcpStream),
-    /// An in-memory duplex connection.
-    Mem(MemStream),
+    /// One end of an in-process `mem://` socket pair.
+    Mem(UnixStream),
     /// A connection wrapped by the fault-injection layer (see
     /// [`crate::fault`]).
     Chaos(ChaosStream),
@@ -92,10 +95,7 @@ impl Stream {
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(timeout),
-            Stream::Mem(s) => {
-                s.read_timeout = timeout;
-                Ok(())
-            }
+            Stream::Mem(s) => s.set_read_timeout(timeout),
             Stream::Chaos(s) => s.set_read_timeout(timeout),
         }
     }
@@ -105,7 +105,7 @@ impl Stream {
     pub fn try_clone(&self) -> io::Result<Stream> {
         match self {
             Stream::Tcp(s) => Ok(Stream::Tcp(s.try_clone()?)),
-            Stream::Mem(s) => Ok(Stream::Mem(s.clone())),
+            Stream::Mem(s) => Ok(Stream::Mem(s.try_clone()?)),
             Stream::Chaos(s) => Ok(Stream::Chaos(s.try_clone()?)),
         }
     }
@@ -116,44 +116,29 @@ impl Stream {
             Stream::Tcp(s) => {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
-            Stream::Mem(s) => s.close(),
+            Stream::Mem(s) => {
+                let _ = s.shutdown(std::net::Shutdown::Both);
+            }
             Stream::Chaos(s) => s.shutdown(),
         }
     }
 
-    /// The underlying socket fd, if the stream is backed by one — what
-    /// the reactor registers with epoll. `mem://` streams have no fd
-    /// and are always served by the threaded engine.
-    #[cfg(target_os = "linux")]
-    pub fn raw_fd(&self) -> Option<std::os::unix::io::RawFd> {
-        use std::os::unix::io::AsRawFd;
+    /// The underlying socket fd — what the reactor registers with epoll.
+    pub fn raw_fd(&self) -> RawFd {
         match self {
-            Stream::Tcp(s) => Some(s.as_raw_fd()),
-            Stream::Mem(_) => None,
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Mem(s) => s.as_raw_fd(),
             Stream::Chaos(s) => s.inner().raw_fd(),
         }
     }
 
     /// Switches the underlying socket between blocking and nonblocking
-    /// mode. No-op for `mem://` streams (their reads take explicit
-    /// timeouts instead).
+    /// mode.
     pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_nonblocking(nonblocking),
-            Stream::Mem(_) => Ok(()),
+            Stream::Mem(s) => s.set_nonblocking(nonblocking),
             Stream::Chaos(s) => s.inner().set_nonblocking(nonblocking),
-        }
-    }
-
-    /// The chaos perturbation wrapped around this stream, if any. The
-    /// reactor engine special-cases [`crate::fault::ChaosMode::Blackhole`]:
-    /// its read parks on a condvar, which must never happen on a
-    /// reactor thread, so blackholed connections are parked off epoll
-    /// instead of read.
-    pub fn chaos_mode(&self) -> Option<crate::fault::ChaosMode> {
-        match self {
-            Stream::Chaos(s) => Some(s.mode()),
-            _ => None,
         }
     }
 }
@@ -207,6 +192,19 @@ impl Write for Stream {
     }
 }
 
+/// How an accepted connection begins, as decided by the accept-side
+/// chaos roll in [`Listener::accept_chaos`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Start {
+    /// Serve it now.
+    Now,
+    /// Serve it once this injected delay has passed.
+    After(Duration),
+    /// Blackholed: never read it (its reads park on a condvar); hold it
+    /// until the server shuts down.
+    Parked,
+}
+
 /// A listening endpoint accepting [`Stream`]s.
 #[derive(Debug)]
 pub enum Listener {
@@ -246,17 +244,16 @@ impl Listener {
         }
     }
 
-    /// Blocks until a client connects.
-    ///
-    /// When a [`crate::fault`] plan is installed, accept-side rules are
-    /// rolled per accepted connection: refused connections are closed
-    /// immediately (and the accept loop continues), others may be
-    /// delayed or wrapped in a chaos stream.
+    /// Blocks until a client connects and rolls the accept-side
+    /// [`crate::fault`] plan on the connection: refused connections are
+    /// closed and skipped, others may be wrapped in a chaos stream. An
+    /// injected delay is returned, not slept, so a reactor acceptor can
+    /// arm a timer for it instead of stalling.
     ///
     /// # Errors
     ///
     /// Returns an error once the listener is closed.
-    pub fn accept(&self) -> Result<Stream, HttpError> {
+    pub fn accept_chaos(&self) -> Result<(Stream, Start), HttpError> {
         loop {
             let stream = match self {
                 Listener::Tcp(l) => {
@@ -266,22 +263,39 @@ impl Listener {
                 }
                 Listener::Mem(l) => l.accept()?,
             };
-            if fault::active() {
-                match fault::inject(&self.local_addr().to_string(), FaultSide::Accept) {
-                    Some(Injected::Refuse) => {
-                        stream.shutdown();
-                        continue;
-                    }
-                    Some(Injected::Delay(d)) => {
-                        std::thread::sleep(d);
-                        return Ok(stream);
-                    }
-                    Some(Injected::Wrap(mode)) => return Ok(fault::wrap(stream, mode)),
-                    None => {}
+            // The chaos fast path: one relaxed load when no plan is installed.
+            let injected = if fault::active() {
+                fault::inject(&self.local_addr().to_string(), FaultSide::Accept)
+            } else {
+                None
+            };
+            return Ok(match injected {
+                Some(Injected::Refuse) => {
+                    stream.shutdown();
+                    continue;
                 }
-            }
-            return Ok(stream);
+                Some(Injected::Delay(d)) => (stream, Start::After(d)),
+                Some(Injected::Wrap(ChaosMode::Blackhole)) => {
+                    (fault::wrap(stream, ChaosMode::Blackhole), Start::Parked)
+                }
+                Some(Injected::Wrap(mode)) => (fault::wrap(stream, mode), Start::Now),
+                None => (stream, Start::Now),
+            });
         }
+    }
+
+    /// Blocks until a client connects, applying accept-side chaos like
+    /// [`Listener::accept_chaos`] but sleeping through an injected delay.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error once the listener is closed.
+    pub fn accept(&self) -> Result<Stream, HttpError> {
+        let (stream, start) = self.accept_chaos()?;
+        if let Start::After(d) = start {
+            std::thread::sleep(d);
+        }
+        Ok(stream)
     }
 
     /// Closes the listener; pending and future `accept` calls fail, and for
@@ -293,24 +307,11 @@ impl Listener {
     /// server still looks alive to connect-only health probes.
     pub fn close(&self) {
         match self {
-            Listener::Tcp(l) => {
-                // `shutdown(2)` on the listening socket makes the kernel
-                // refuse new connects and wakes a thread blocked in
-                // `accept` (EINVAL) — without closing the fd out from
-                // under that thread.
-                #[cfg(unix)]
-                {
-                    use std::os::unix::io::AsRawFd;
-                    sys_shutdown_socket(l.as_raw_fd());
-                }
-                // Elsewhere `shutdown` on a listening socket is not
-                // portable (POSIX says ENOTCONN); fall back to waking
-                // the accept loop, which then sees the shutdown flag.
-                #[cfg(not(unix))]
-                if let Ok(a) = l.local_addr() {
-                    let _ = TcpStream::connect_timeout(&a, Duration::from_millis(100));
-                }
-            }
+            // `shutdown(2)` on the listening socket makes the kernel
+            // refuse new connects and wakes a thread blocked in `accept`
+            // (EINVAL) — without closing the fd out from under that
+            // thread.
+            Listener::Tcp(l) => sys_shutdown_socket(l.as_raw_fd()),
             Listener::Mem(l) => l.close(),
         }
     }
@@ -319,8 +320,7 @@ impl Listener {
 /// Raw `shutdown(2)`. The workspace is dependency-free by design, so
 /// the symbol is declared directly — it comes from the libc `std`
 /// already links against (same pattern as `reactor::sys`).
-#[cfg(unix)]
-fn sys_shutdown_socket(fd: std::os::unix::io::RawFd) {
+fn sys_shutdown_socket(fd: RawFd) {
     const SHUT_RDWR: i32 = 2;
     extern "C" {
         fn shutdown(fd: i32, how: i32) -> i32;
@@ -390,130 +390,11 @@ pub fn connect_with(addr: &str, read_timeout: Option<Duration>) -> Result<Stream
 }
 
 // ---------------------------------------------------------------------------
-// In-memory transport
+// `mem://` endpoint registry
 // ---------------------------------------------------------------------------
 
-/// One direction of a duplex in-memory connection.
-#[derive(Debug, Default)]
-struct Pipe {
-    state: Mutex<PipeState>,
-    cond: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct PipeState {
-    buf: VecDeque<u8>,
-    closed: bool,
-}
-
-impl Pipe {
-    fn write(&self, data: &[u8]) -> io::Result<usize> {
-        let mut st = self.state.lock();
-        if st.closed {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
-        }
-        st.buf.extend(data);
-        self.cond.notify_all();
-        Ok(data.len())
-    }
-
-    fn read(&self, buf: &mut [u8], timeout: Option<Duration>) -> io::Result<usize> {
-        let mut st = self.state.lock();
-        loop {
-            if !st.buf.is_empty() {
-                let n = buf.len().min(st.buf.len());
-                for slot in buf.iter_mut().take(n) {
-                    *slot = st.buf.pop_front().expect("len checked");
-                }
-                return Ok(n);
-            }
-            if st.closed {
-                return Ok(0); // EOF
-            }
-            match timeout {
-                Some(t) => {
-                    if self.cond.wait_for(&mut st, t).timed_out() && st.buf.is_empty() && !st.closed
-                    {
-                        return Err(io::Error::new(io::ErrorKind::WouldBlock, "read timed out"));
-                    }
-                }
-                None => self.cond.wait(&mut st),
-            }
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().closed = true;
-        self.cond.notify_all();
-    }
-}
-
-/// An in-memory duplex byte stream (one endpoint of a connection).
-#[derive(Debug, Clone)]
-pub struct MemStream {
-    rx: Arc<Pipe>,
-    tx: Arc<Pipe>,
-    read_timeout: Option<Duration>,
-}
-
-impl MemStream {
-    /// Creates a connected pair of in-memory streams.
-    pub fn pair() -> (MemStream, MemStream) {
-        let a = Arc::new(Pipe::default());
-        let b = Arc::new(Pipe::default());
-        (
-            MemStream {
-                rx: a.clone(),
-                tx: b.clone(),
-                read_timeout: None,
-            },
-            MemStream {
-                rx: b,
-                tx: a,
-                read_timeout: None,
-            },
-        )
-    }
-
-    fn close(&self) {
-        self.rx.close();
-        self.tx.close();
-    }
-}
-
-impl Read for MemStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.rx.read(buf, self.read_timeout)
-    }
-}
-
-impl Write for MemStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.tx.write(buf)
-    }
-
-    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-        // All slices land under one lock acquisition and one reader
-        // wakeup — the in-memory analogue of a single writev syscall.
-        let mut st = self.tx.state.lock();
-        if st.closed {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
-        }
-        let mut n = 0;
-        for buf in bufs {
-            st.buf.extend(buf.iter().copied());
-            n += buf.len();
-        }
-        self.tx.cond.notify_all();
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// The accepting side of a registered `mem://` endpoint.
+/// The accepting side of a registered `mem://` endpoint: an inbox of
+/// server halves of socket pairs, filled by [`connect`].
 #[derive(Debug)]
 pub struct MemListener {
     name: String,
@@ -528,7 +409,7 @@ struct MemInbox {
 
 #[derive(Debug, Default)]
 struct MemInboxState {
-    pending: VecDeque<MemStream>,
+    pending: VecDeque<UnixStream>,
     closed: bool,
 }
 
@@ -599,7 +480,7 @@ impl MemRegistry {
             .get(name)
             .cloned()
             .ok_or_else(|| HttpError::ConnectionRefused(name.to_string()))?;
-        let (client, server) = MemStream::pair();
+        let (client, server) = UnixStream::pair().map_err(HttpError::Io)?;
         {
             let mut st = inbox.state.lock();
             if st.closed {
@@ -650,9 +531,17 @@ mod tests {
         }
     }
 
+    /// A connected `mem://` pair made through the registry:
+    /// (client half, server half).
+    fn mem_pair(name: &str) -> (Stream, Stream) {
+        let l = Listener::bind(&format!("mem://{name}")).unwrap();
+        let client = connect(&format!("mem://{name}")).unwrap();
+        (client, l.accept().unwrap())
+    }
+
     #[test]
     fn mem_pair_duplex() {
-        let (mut a, mut b) = MemStream::pair();
+        let (mut a, mut b) = mem_pair("t-duplex");
         a.write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
         b.read_exact(&mut buf).unwrap();
@@ -706,8 +595,8 @@ mod tests {
 
     #[test]
     fn mem_eof_after_peer_close() {
-        let (mut a, b) = MemStream::pair();
-        b.close();
+        let (mut a, b) = mem_pair("t-eof");
+        b.shutdown();
         let mut buf = [0u8; 1];
         assert_eq!(a.read(&mut buf).unwrap(), 0);
         assert!(a.write(b"x").is_err());
@@ -715,8 +604,7 @@ mod tests {
 
     #[test]
     fn mem_read_timeout() {
-        let (a, _b) = MemStream::pair();
-        let mut s = Stream::Mem(a);
+        let (mut s, _b) = mem_pair("t-timeout");
         s.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
         let mut buf = [0u8; 1];
         let err = s.read(&mut buf).unwrap_err();
@@ -743,8 +631,7 @@ mod tests {
 
     #[test]
     fn stream_clone_shares_connection() {
-        let (a, mut b) = MemStream::pair();
-        let s = Stream::Mem(a);
+        let (s, mut b) = mem_pair("t-clone");
         let mut s2 = s.try_clone().unwrap();
         s2.write_all(b"x").unwrap();
         let mut buf = [0u8; 1];
@@ -754,12 +641,12 @@ mod tests {
 
     #[test]
     fn large_transfer_through_mem_pipe() {
-        let (mut a, mut b) = MemStream::pair();
+        let (mut a, mut b) = mem_pair("t-large");
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         let data2 = data.clone();
         let t = thread::spawn(move || {
             a.write_all(&data2).unwrap();
-            a.close();
+            a.shutdown();
         });
         let mut got = Vec::new();
         b.read_to_end(&mut got).unwrap();

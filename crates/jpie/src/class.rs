@@ -260,7 +260,8 @@ pub(crate) struct ClassInner {
     interface_version: u64,
     undo_stack: Vec<EditRecord>,
     redo_stack: Vec<EditRecord>,
-    listeners: Vec<Sender<ClassEvent>>,
+    listeners: Vec<(SubscriptionId, Sender<ClassEvent>)>,
+    next_subscription: u64,
     instantiated: bool,
     /// The live instance's field store (if any), so field renames can
     /// migrate stored values instead of resetting them.
@@ -320,6 +321,10 @@ impl ClassInner {
     }
 }
 
+/// Identifies one [`ClassHandle::subscribe`] subscription.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SubscriptionId(u64);
+
 /// A handle to a dynamic class.
 ///
 /// Handles are cheaply cloneable and thread-safe; all mutations are
@@ -370,6 +375,7 @@ impl ClassHandle {
                 undo_stack: Vec::new(),
                 redo_stack: Vec::new(),
                 listeners: Vec::new(),
+                next_subscription: 0,
                 instantiated: false,
                 live_fields: None,
                 table_cache: None,
@@ -405,11 +411,27 @@ impl ClassHandle {
 
     /// Subscribes to change events. Every mutation — including
     /// [`ClassHandle::undo`] / [`ClassHandle::redo`] — sends one
-    /// [`ClassEvent`] to every subscriber.
-    pub fn subscribe(&self) -> Receiver<ClassEvent> {
+    /// [`ClassEvent`] to every subscriber. The id cancels the
+    /// subscription ([`ClassHandle::unsubscribe`]).
+    pub fn subscribe(&self) -> (SubscriptionId, Receiver<ClassEvent>) {
         let (tx, rx) = channel();
-        self.inner.write().listeners.push(tx);
-        rx
+        let mut inner = self.inner.write();
+        let id = SubscriptionId(inner.next_subscription);
+        inner.next_subscription += 1;
+        inner.listeners.push((id, tx));
+        (id, rx)
+    }
+
+    /// Cancels a subscription: its sender is dropped, so a receiver
+    /// blocked in `recv` wakes with a disconnect instead of waiting for
+    /// the class to go away.
+    pub fn unsubscribe(&self, id: SubscriptionId) {
+        self.inner.write().listeners.retain(|(sub, _)| *sub != id);
+    }
+
+    /// Number of live subscriptions.
+    pub fn listener_count(&self) -> usize {
+        self.inner.read().listeners.len()
     }
 
     /// Number of edits available to undo / redo.
@@ -476,7 +498,9 @@ impl ClassHandle {
     }
 
     fn fire(inner: &mut ClassInner, event: ClassEvent) {
-        inner.listeners.retain(|tx| tx.send(event.clone()).is_ok());
+        inner
+            .listeners
+            .retain(|(_, tx)| tx.send(event.clone()).is_ok());
     }
 
     /// Clears the cached snapshots and bumps the edit epoch. Must be
@@ -1490,7 +1514,7 @@ mod tests {
     #[test]
     fn events_carry_distributed_flag() {
         let (class, f) = simple_class();
-        let rx = class.subscribe();
+        let (_, rx) = class.subscribe();
         class.set_body_expr(f, Expr::lit(0)).unwrap();
         let e = rx.try_recv().unwrap();
         assert!(matches!(e.kind, EventKind::BodyChanged(_)));

@@ -66,6 +66,7 @@ mod value;
 
 pub use class::{
     ClassHandle, MethodBuilder, MethodId, MethodSignature, Param, ParamId, SignatureView,
+    SubscriptionId,
 };
 pub use debugger::{DebuggerEntry, JpieDebugger, TryAgain};
 pub use error::JpieError;

@@ -61,7 +61,7 @@ impl DispatchPool {
                 let inner = inner.clone();
                 std::thread::Builder::new()
                     .name(format!("{name}-{i}"))
-                    .spawn(move || worker_loop(&inner))
+                    .spawn(move || run_worker(&inner))
                     .expect("spawn dispatch worker")
             })
             .collect();
@@ -146,7 +146,7 @@ fn spin_window() -> Duration {
     })
 }
 
-fn worker_loop(inner: &Inner) {
+fn run_worker(inner: &Inner) {
     loop {
         // Spin phase: watch the lock-free depth mirror so the mutex is
         // only taken when there is plausibly work to pop.

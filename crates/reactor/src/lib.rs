@@ -1,6 +1,6 @@
 //! # reactor — dependency-free readiness-driven event loop
 //!
-//! The transport core behind `httpd`'s TCP engine and the server ORB:
+//! The transport core behind `httpd`'s server engine and the server ORB:
 //! instead of one blocked thread per connection, a small fixed set of
 //! reactor threads multiplexes every connection through epoll. Each
 //! connection is a resumable state machine (an [`EventSource`]); parked
@@ -25,8 +25,8 @@
 //! waiting on a publication stall) is handed to a [`DispatchPool`];
 //! while dispatched the source is [`Action::Suspend`]ed — off epoll —
 //! and the worker re-enters it with [`ReactorHandle::resume`].
-
-#![cfg(target_os = "linux")]
+//!
+//! Linux only (epoll, eventfd), like the rest of the workspace.
 
 pub mod sys;
 pub mod timer;
@@ -47,7 +47,7 @@ use obs::metrics::{Counter, Gauge};
 use obs::sync::{Condvar, Mutex};
 
 use sys::{Epoll, EpollEvent, EventFd};
-use timer::TimerWheel;
+use timer::{Deadline, TimerWheel};
 
 /// What a source wants epoll to watch for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,7 +181,7 @@ fn metrics() -> &'static ReactorMetrics {
 }
 
 /// One-line reactor status for the REPL `stats` command, from the live
-/// metric handles (all zeros until the first TCP server starts).
+/// metric handles (all zeros until the first server starts).
 pub fn metrics_summary() -> String {
     let m = metrics();
     format!(
@@ -332,9 +332,8 @@ const MAX_EVENTS: usize = 256;
 struct Slot {
     source: Option<Box<dyn EventSource>>,
     generation: u32,
-    /// Bumped on every rearm/suspend/close so stale timer entries and
-    /// resumes are discarded.
-    timer_generation: u64,
+    /// The source's single timer (see [`timer`]).
+    deadline: Deadline,
     suspended: bool,
     fd: RawFd,
     server_id: u64,
@@ -470,9 +469,11 @@ fn run_loop(epoll: &Epoll, shared: &Arc<Shared>, handle: &ReactorHandle) {
             let Some(idx) = live_index(&st, token) else {
                 continue;
             };
-            let slot = &st.slots[idx];
-            if slot.suspended || slot.timer_generation != f.generation {
-                continue; // disarmed or re-armed since scheduling
+            // Every fired entry is settled, even for a suspended source,
+            // so the slot never points at an entry that already left.
+            let slot = &mut st.slots[idx];
+            if !st.wheel.settle(&mut slot.deadline, *f) || slot.suspended {
+                continue; // stale, disarmed, or moved later (refiled)
             }
             m.timer_fires.inc();
             let mut source = st.slots[idx].source.take().expect("live slot has source");
@@ -505,7 +506,7 @@ fn register_source(
             st.slots.push(Slot {
                 source: None,
                 generation: 0,
-                timer_generation: 0,
+                deadline: Deadline::default(),
                 suspended: false,
                 fd: -1,
                 server_id: 0,
@@ -528,10 +529,10 @@ fn register_source(
     slot.suspended = false;
     slot.fd = fd;
     slot.server_id = server_id;
-    slot.timer_generation += 1;
+    slot.deadline = Deadline::default();
     if let Some(t) = timeout {
         st.wheel
-            .schedule(Instant::now() + t, token.encode(), slot.timer_generation);
+            .arm(&mut slot.deadline, Instant::now() + t, token.encode());
     }
     metrics().fds.add(1);
 }
@@ -548,19 +549,17 @@ fn apply_action(epoll: &Epoll, st: &mut LoopState, idx: usize, action: Action) {
                 close_slot(epoll, st, idx);
                 return;
             }
-            // Bump first: any previously armed deadline is now stale.
-            st.slots[idx].timer_generation += 1;
-            if let Some(t) = timeout {
-                let generation = st.slots[idx].timer_generation;
-                st.wheel
-                    .schedule(Instant::now() + t, token.encode(), generation);
+            let deadline = &mut st.slots[idx].deadline;
+            match timeout {
+                Some(t) => st.wheel.arm(deadline, Instant::now() + t, token.encode()),
+                None => deadline.disarm(),
             }
         }
         Action::Suspend => {
             // ONESHOT already disarmed the fd; just invalidate timers
             // and mark the slot so stale events are ignored.
             st.slots[idx].suspended = true;
-            st.slots[idx].timer_generation += 1;
+            st.slots[idx].deadline.disarm();
         }
         Action::Close => close_slot(epoll, st, idx),
     }
@@ -574,7 +573,6 @@ fn close_slot(epoll: &Epoll, st: &mut LoopState, idx: usize) {
     let _ = epoll.delete(slot.fd);
     slot.source = None; // drop closes the fd
     slot.generation = slot.generation.wrapping_add(1);
-    slot.timer_generation += 1;
     slot.suspended = false;
     st.free.push(idx as u32);
     metrics().fds.add(-1);
