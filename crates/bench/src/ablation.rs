@@ -116,14 +116,18 @@ pub fn run_strategy(strategy: PublicationStrategy, trace: &EditTrace) -> Ablatio
             class
                 .add_method(MethodBuilder::new(format!("m{n}"), TypeDesc::Void).distributed(true))
                 .expect("edit");
+            // Replays the trace's think time between two edits.
             thread::sleep(trace.intra_gap);
         }
         burst_ends.push((Instant::now(), class.interface_version()));
+        // Replays the trace's pause between edit bursts.
         thread::sleep(trace.inter_gap);
     }
     // Let in-flight work drain (bounded).
     let drain_deadline = Instant::now() + Duration::from_secs(2);
     while !publisher.is_current() && Instant::now() < drain_deadline {
+        // Waits for the stable timer to fire on its own: `ensure_current`
+        // would force a generation into the counts being measured.
         thread::sleep(Duration::from_millis(5));
     }
     publisher.shutdown();

@@ -63,6 +63,7 @@ impl PeakSampler {
                 while !s.load(Ordering::Relaxed) {
                     t.fetch_max(threads_now(), Ordering::Relaxed);
                     c.fetch_max(gauge.get(), Ordering::Relaxed);
+                    // Sampling period: this thread exists to poll the gauges.
                     std::thread::sleep(Duration::from_millis(5));
                 }
             })

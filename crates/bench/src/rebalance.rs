@@ -271,11 +271,16 @@ pub fn run_rebalance_sweep(cfg: &RebalanceConfig, rates: &[f64]) -> Vec<Rebalanc
 
 /// p95 of the drain pauses (max for small sweeps).
 pub fn drain_p95_ms(points: &[RebalancePoint]) -> f64 {
-    let mut v: Vec<f64> = points
-        .iter()
-        .map(|p| p.drain_ms)
-        .filter(|m| m.is_finite())
-        .collect();
+    p95_ms(points.iter().map(|p| p.drain_ms))
+}
+
+/// p95 of the handoff phases (max for small sweeps).
+pub fn handoff_p95_ms(points: &[RebalancePoint]) -> f64 {
+    p95_ms(points.iter().map(|p| p.handoff_ms))
+}
+
+fn p95_ms(samples: impl Iterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = samples.filter(|m| m.is_finite()).collect();
     if v.is_empty() {
         return f64::NAN;
     }
@@ -338,6 +343,7 @@ pub fn rebalance_json(points: &[RebalancePoint], cfg: &RebalanceConfig, transpor
     );
     let _ = writeln!(out, "  \"shards\": {},", cfg.shards);
     let _ = writeln!(out, "  \"drain_p95_ms\": {:.3},", drain_p95_ms(points));
+    let _ = writeln!(out, "  \"handoff_p95_ms\": {:.3},", handoff_p95_ms(points));
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         let _ = writeln!(
@@ -394,6 +400,7 @@ mod tests {
         let json = rebalance_json(std::slice::from_ref(&p), &cfg, "mem");
         assert!(json.contains("\"mode\": \"rebalance\""));
         assert!(json.contains("\"drain_p95_ms\": 12.500"));
+        assert!(json.contains("\"handoff_p95_ms\": 6.000"));
         assert!(json.contains("\"failed_calls\": 0"));
     }
 

@@ -338,6 +338,8 @@ impl ClientEnvironment {
                 "retry",
                 format!("method={method} attempt={attempt} wait={retry_wait:?}"),
             );
+            // Retry backoff: the pause the server's Retry-After or the
+            // policy asked for before the next attempt.
             std::thread::sleep(retry_wait);
         }
     }

@@ -149,6 +149,7 @@ impl DocFetcher {
                 return Err(HttpError::Timeout);
             }
             obs::registry().counter("rmi_retries_total").inc();
+            // Retry backoff between fetch attempts, as the policy asks.
             std::thread::sleep(retry_wait);
         }
     }

@@ -85,6 +85,8 @@ impl ClientEnvironment {
                 let updates = obs::registry().counter("cde_watch_updates_total");
                 let mut last = stub.interface_version();
                 while !thread_stop.load(Ordering::SeqCst) {
+                    // Poll period: a published interface has no push
+                    // channel, so the watcher polls by design.
                     std::thread::sleep(interval);
                     if thread_stop.load(Ordering::SeqCst) {
                         return;

@@ -54,6 +54,4 @@ mod rorb;
 pub use error::{CorbaError, SystemExceptionKind};
 pub use idl::{IdlInterface, IdlModule, IdlOperation};
 pub use ior::Ior;
-pub use orb::{
-    DiiRequest, DynamicImplementation, OrbConnection, OrbGate, ServerOrb, ServerRequest,
-};
+pub use orb::{DiiRequest, DynamicImplementation, OrbConnection, ServerOrb, ServerRequest};

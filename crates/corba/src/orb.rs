@@ -1,11 +1,12 @@
 //! Object Request Brokers: the server ORB with DSI dispatch and the
 //! client-side DII request API.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use httpd::transport::{connect_with, Stream};
+use httpd::DrainGate;
 use jpie::Value;
 
 use crate::error::{CorbaError, SystemExceptionKind};
@@ -82,47 +83,6 @@ impl ServerRequest {
     }
 }
 
-/// Drain gate and in-flight accounting for a server ORB.
-///
-/// The CORBA analogue of `httpd::ServerGate`: planned reconfiguration
-/// needs to drive an ORB to quiescence (Matevska-Meyer) — refuse *new*
-/// requests with the retryable `TRANSIENT` system exception (carrying a
-/// `retry_after_ms=N` pacing hint in the reason) while requests already
-/// dispatched run to completion, observable through an exact in-flight
-/// count. Admission increments before checking the flag (SeqCst both
-/// sides), so a drainer that set the flag and then read a zero count
-/// knows no request can still be racing into the servant.
-#[derive(Debug, Default)]
-pub struct OrbGate {
-    in_flight: AtomicU64,
-    draining: AtomicBool,
-    retry_after_ms: AtomicU64,
-}
-
-impl OrbGate {
-    /// Requests currently executing inside the servant.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::SeqCst)
-    }
-
-    /// Starts refusing new requests with `TRANSIENT`, hinting clients to
-    /// retry after `retry_after_ms`; dispatched requests complete.
-    pub fn begin_drain(&self, retry_after_ms: u64) {
-        self.retry_after_ms.store(retry_after_ms, Ordering::SeqCst);
-        self.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Resumes normal admission.
-    pub fn end_drain(&self) {
-        self.draining.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether the gate is currently refusing new requests.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-}
-
 /// A running server ORB bound to one transport endpoint, dispatching every
 /// request through a [`DynamicImplementation`].
 ///
@@ -136,7 +96,7 @@ impl OrbGate {
 #[derive(Debug)]
 pub struct ServerOrb {
     ior: Ior,
-    gate: Arc<OrbGate>,
+    gate: Arc<DrainGate>,
     reactor: ReactorOrb,
 }
 
@@ -153,7 +113,7 @@ impl ServerOrb {
         implementation: I,
     ) -> Result<ServerOrb, CorbaError> {
         let object_key = format!("{type_id}#key").into_bytes();
-        let gate = Arc::new(OrbGate::default());
+        let gate = Arc::new(DrainGate::default());
         let reactor = ReactorOrb::start(
             addr,
             Arc::new(implementation),
@@ -172,9 +132,10 @@ impl ServerOrb {
         self.ior.clone()
     }
 
-    /// The ORB's drain gate (in-flight accounting + drain-mode
-    /// `TRANSIENT` refusals).
-    pub fn gate(&self) -> &Arc<OrbGate> {
+    /// The ORB's drain gate: in-flight accounting, and drain mode,
+    /// which refuses new requests with the retryable `TRANSIENT` system
+    /// exception carrying a `retry_after_ms=N` pacing hint.
+    pub fn gate(&self) -> &Arc<DrainGate> {
         &self.gate
     }
 
@@ -220,7 +181,7 @@ pub(crate) fn request_reply(
     served_key: &[u8],
     body: &[u8],
     big_endian: bool,
-    gate: &OrbGate,
+    gate: &DrainGate,
 ) -> ReplyMessage {
     let (request_id, reply_body) = match decode_request(body, big_endian) {
         Ok(req) => {
@@ -234,36 +195,30 @@ pub(crate) fn request_reply(
                 ));
                 (id, outcome_to_reply(outcome))
             } else {
-                // Increment before checking the drain flag (see
-                // [`OrbGate`]): a drained-but-admitted request is
-                // refused with TRANSIENT — the servant never ran, so a
-                // client retry is always safe.
-                gate.in_flight.fetch_add(1, Ordering::SeqCst);
-                let outcome = if gate.draining.load(Ordering::SeqCst) {
-                    Err(CorbaError::system(
+                // A refused request never reaches the servant, so a
+                // client retry of a TRANSIENT is always safe.
+                let outcome = match gate.admit() {
+                    Ok(_inside) => {
+                        let mut sreq = ServerRequest {
+                            operation: req.operation,
+                            args: req.args,
+                            call_id: req.call_id,
+                            trace: req.trace,
+                            outcome: None,
+                        };
+                        implementation.invoke(&mut sreq);
+                        sreq.outcome.unwrap_or_else(|| {
+                            Err(CorbaError::system(
+                                SystemExceptionKind::NoImplement,
+                                "servant set no result",
+                            ))
+                        })
+                    }
+                    Err(retry_after) => Err(CorbaError::system(
                         SystemExceptionKind::Transient,
-                        format!(
-                            "orb draining; retry_after_ms={}",
-                            gate.retry_after_ms.load(Ordering::SeqCst)
-                        ),
-                    ))
-                } else {
-                    let mut sreq = ServerRequest {
-                        operation: req.operation,
-                        args: req.args,
-                        call_id: req.call_id,
-                        trace: req.trace,
-                        outcome: None,
-                    };
-                    implementation.invoke(&mut sreq);
-                    sreq.outcome.unwrap_or_else(|| {
-                        Err(CorbaError::system(
-                            SystemExceptionKind::NoImplement,
-                            "servant set no result",
-                        ))
-                    })
+                        format!("orb draining; retry_after_ms={}", retry_after.as_millis()),
+                    )),
                 };
-                gate.in_flight.fetch_sub(1, Ordering::SeqCst);
                 (id, outcome_to_reply(outcome))
             }
         }

@@ -19,6 +19,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use httpd::transport::{Listener, Start, Stream};
+use httpd::DrainGate;
 use obs::sync::Mutex;
 use reactor::{Action, Ctl, DispatchPool, EventSource, Interest, Readiness};
 
@@ -27,7 +28,7 @@ use crate::giop::{
     decode_locate_request, parse_frame_header, write_locate_reply, write_reply_advertising,
     GiopBufs, LocateStatus, MsgType, ReplyBody, ReplyMessage,
 };
-use crate::orb::{giop_counters, request_reply, DynamicImplementation, OrbGate};
+use crate::orb::{giop_counters, request_reply, DynamicImplementation};
 
 const READ_CHUNK: usize = 16 * 1024;
 
@@ -58,7 +59,7 @@ struct OrbShared {
     implementation: Arc<dyn DynamicImplementation>,
     served_key: Vec<u8>,
     dispatch: Arc<DispatchPool>,
-    gate: Arc<OrbGate>,
+    gate: Arc<DrainGate>,
 }
 
 impl ReactorOrb {
@@ -68,7 +69,7 @@ impl ReactorOrb {
         addr: &str,
         implementation: Arc<dyn DynamicImplementation>,
         served_key: Vec<u8>,
-        gate: Arc<OrbGate>,
+        gate: Arc<DrainGate>,
     ) -> Result<ReactorOrb, CorbaError> {
         let listener = Arc::new(Listener::bind(addr)?);
         let label = listener.local_addr().to_string();

@@ -46,4 +46,4 @@ pub use publish::{GeneratedDoc, PublicationStrategy, PublisherCore, PublisherMet
 pub use replycache::{Admission, CachedReply, ReplyCache, ReplyCacheStats};
 pub use soap_server::SoapServer;
 pub use wal::VersionWal;
-pub use walrepl::{WalFollower, WalReplicator};
+pub use walrepl::{FollowerProgress, WalFollower, WalReplicator};

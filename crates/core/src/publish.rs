@@ -465,6 +465,8 @@ fn generation_loop(core: Arc<PublisherCore>) {
         let latency = *core.generation_latency.lock();
         let span = obs::trace::Span::timed(core.o.generation_ns.clone());
         if !latency.is_zero() {
+            // Injected generation cost, set only by experiments that
+            // model §5.6's "relatively expensive" generation.
             thread::sleep(latency);
         }
         let doc = (core.generator)();

@@ -123,7 +123,7 @@ impl SoapServer {
 
     /// The endpoint's drain gate: in-flight accounting and drain-mode
     /// 503s, for planned-migration quiescence.
-    pub fn gate(&self) -> &Arc<httpd::ServerGate> {
+    pub fn gate(&self) -> &Arc<httpd::DrainGate> {
         self.endpoint.gate()
     }
 }

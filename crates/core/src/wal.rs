@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use obs::sync::{Condvar, Mutex};
 
@@ -214,17 +214,27 @@ impl VersionWal {
         &self.path
     }
 
-    /// Blocks until the durable prefix exceeds `seen_len` or the timeout
-    /// elapses; returns the current durable length either way.
-    pub fn wait_for_growth(&self, seen_len: u64, timeout: Duration) -> u64 {
-        let deadline = std::time::Instant::now() + timeout;
+    /// Blocks until the durable prefix exceeds `seen_len` and returns
+    /// the new durable length, or returns `None` once `stop` is raised.
+    /// There is no timeout: whoever raises `stop` calls
+    /// [`VersionWal::wake_waiters`] afterwards.
+    pub fn wait_for_growth(&self, seen_len: u64, stop: &AtomicBool) -> Option<u64> {
         let mut inner = self.inner.lock();
         while inner.good_len <= seen_len {
-            if self.grew.wait_until(&mut inner, deadline).timed_out() {
-                break;
+            if stop.load(Ordering::SeqCst) {
+                return None;
             }
+            self.grew.wait(&mut inner);
         }
-        inner.good_len
+        Some(inner.good_len)
+    }
+
+    /// Wakes every [`VersionWal::wait_for_growth`] caller so it re-checks
+    /// its stop flag. Taking the lock orders this after any waiter's
+    /// check, so a flag raised before the call is never missed.
+    pub fn wake_waiters(&self) {
+        let _inner = self.inner.lock();
+        self.grew.notify_all();
     }
 
     /// Reads the durable record bytes in `[from, durable_len)` through a

@@ -33,15 +33,31 @@
 //! divergent stream at handshake and takes a full resync, because a
 //! "longer" replica that diverges from the leader's prefix is not more
 //! durable, it is wrong.
+//!
+//! Nothing here polls. Every thread blocks on exactly one event source
+//! and is woken by whoever ends its wait:
+//!
+//! - A leader stream thread blocks in [`VersionWal::wait_for_growth`]
+//!   (woken by each append) or in a socket read (woken by the follower's
+//!   next frame). [`WalReplicator::shutdown`] raises the stop flag,
+//!   shuts every follower socket down, wakes the WAL's waiters and joins
+//!   the threads.
+//! - A follower thread blocks in a socket read. [`WalFollower::stop`]
+//!   shuts that socket down; the stop flag and the live socket share one
+//!   lock, so a stop racing a connect cannot miss the socket. Reconnect
+//!   backoff is a timed wait that the stop cuts short.
+//! - [`WalFollower::wait_caught_up`] sleeps on a notify raised for every
+//!   fsync-acked durable length, on connect and disconnect, and on stop.
 
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use httpd::transport::{connect_with, Listener, Stream};
+use httpd::transport::{connect, Listener, Stream};
+use obs::sync::{Mutex, Notify};
 
 use crate::wal::{crc32, VersionWal};
 
@@ -56,8 +72,9 @@ const NACK: u8 = 5;
 /// RESYNC frame, so this must comfortably exceed any realistic log.
 const MAX_FRAME: usize = 64 << 20;
 
-/// How long a blocking read waits before re-checking the shutdown flag.
-const POLL: Duration = Duration::from_millis(50);
+/// Pause between a lost leader connection and the next connect attempt,
+/// so a dead leader is not hammered; [`WalFollower::stop`] cuts it short.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(20);
 
 fn write_frame(w: &mut Stream, kind: u8, arg: u64, payload: &[u8]) -> std::io::Result<()> {
     let mut frame = Vec::with_capacity(13 + payload.len() + 4);
@@ -70,11 +87,11 @@ fn write_frame(w: &mut Stream, kind: u8, arg: u64, payload: &[u8]) -> std::io::R
     w.write_all(&frame)
 }
 
-/// Reads one frame, waiting until `stop` is raised. Read timeouts poll
-/// the flag; any other error (or a raised flag) aborts the connection.
-fn read_frame(r: &mut Stream, stop: &AtomicBool) -> std::io::Result<(u8, u64, Vec<u8>)> {
+/// Reads one frame. Blocks until it arrives or the connection ends — a
+/// shutdown of the socket (by a stop on either side) ends it.
+fn read_frame(r: &mut Stream) -> std::io::Result<(u8, u64, Vec<u8>)> {
     let mut fixed = [0u8; 13];
-    read_exact_polling(r, &mut fixed, stop)?;
+    r.read_exact(&mut fixed)?;
     let kind = fixed[0];
     let arg = u64::from_be_bytes(fixed[1..9].try_into().expect("8 bytes"));
     let len = u32::from_be_bytes(fixed[9..13].try_into().expect("4 bytes")) as usize;
@@ -85,9 +102,9 @@ fn read_frame(r: &mut Stream, stop: &AtomicBool) -> std::io::Result<(u8, u64, Ve
         ));
     }
     let mut payload = vec![0u8; len];
-    read_exact_polling(r, &mut payload, stop)?;
+    r.read_exact(&mut payload)?;
     let mut crc_bytes = [0u8; 4];
-    read_exact_polling(r, &mut crc_bytes, stop)?;
+    r.read_exact(&mut crc_bytes)?;
     let mut check = Vec::with_capacity(13 + len);
     check.extend_from_slice(&fixed);
     check.extend_from_slice(&payload);
@@ -100,45 +117,23 @@ fn read_frame(r: &mut Stream, stop: &AtomicBool) -> std::io::Result<(u8, u64, Ve
     Ok((kind, arg, payload))
 }
 
-/// `read_exact` that re-checks `stop` on every read timeout. The stream
-/// must have a read timeout installed.
-fn read_exact_polling(r: &mut Stream, buf: &mut [u8], stop: &AtomicBool) -> std::io::Result<()> {
-    let mut at = 0usize;
-    while at < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                "replication shutting down",
-            ));
-        }
-        match r.read(&mut buf[at..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "replication peer closed",
-                ))
-            }
-            Ok(n) => at += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
 // ------------------------------------------------------------- leader
 
 /// Leader side: streams a [`VersionWal`] to any number of followers.
 pub struct WalReplicator {
     listener: Arc<Listener>,
     addr: String,
+    wal: Arc<VersionWal>,
     stop: Arc<AtomicBool>,
     /// Highest durable length any follower has acked.
     acked: Arc<AtomicU64>,
-    accept_thread: Option<JoinHandle<()>>,
+    streams: Arc<Mutex<Vec<FollowerConn>>>,
+    accept_thread: Mutex<Option<JoinHandle<()>>>,
 }
+
+/// One follower connection on the leader: a handle on its socket (to
+/// shut it down) and its streaming thread (to join it).
+type FollowerConn = (Stream, JoinHandle<()>);
 
 impl WalReplicator {
     /// Binds `addr` and starts accepting followers; each gets its own
@@ -152,19 +147,31 @@ impl WalReplicator {
         let bound = listener.local_addr().to_string();
         let stop = Arc::new(AtomicBool::new(false));
         let acked = Arc::new(AtomicU64::new(0));
+        let streams: Arc<Mutex<Vec<FollowerConn>>> = Arc::default();
         let accept_thread = {
             let listener = listener.clone();
+            let wal = wal.clone();
             let stop = stop.clone();
             let acked = acked.clone();
+            let streams = streams.clone();
             std::thread::Builder::new()
                 .name("wal-repl-accept".into())
                 .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        let Ok(stream) = listener.accept() else { break };
-                        let wal = wal.clone();
-                        let stop = stop.clone();
-                        let acked = acked.clone();
-                        let _ = std::thread::Builder::new()
+                    while let Ok(stream) = listener.accept() {
+                        // `shutdown` raises `stop` before taking this lock,
+                        // so a follower accepted during shutdown is either
+                        // severed here or by `shutdown` — never missed.
+                        let mut streams = streams.lock();
+                        if stop.load(Ordering::SeqCst) {
+                            stream.shutdown();
+                            break;
+                        }
+                        streams.retain(|(_, t)| !t.is_finished());
+                        let Ok(handle) = stream.try_clone() else {
+                            continue;
+                        };
+                        let (wal, stop, acked) = (wal.clone(), stop.clone(), acked.clone());
+                        let spawned = std::thread::Builder::new()
                             .name("wal-repl-stream".into())
                             .spawn(move || {
                                 if let Err(e) = stream_to_follower(&wal, stream, &stop, &acked) {
@@ -175,6 +182,9 @@ impl WalReplicator {
                                     );
                                 }
                             });
+                        if let Ok(thread) = spawned {
+                            streams.push((handle, thread));
+                        }
                     }
                 })
                 .expect("spawn wal-repl accept thread")
@@ -182,9 +192,11 @@ impl WalReplicator {
         Ok(WalReplicator {
             listener,
             addr: bound,
+            wal,
             stop,
             acked,
-            accept_thread: Some(accept_thread),
+            streams,
+            accept_thread: Mutex::new(Some(accept_thread)),
         })
     }
 
@@ -198,19 +210,29 @@ impl WalReplicator {
         self.acked.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting and tears down streaming threads.
+    /// Stops accepting, severs every follower connection and joins the
+    /// accept and streaming threads: when this returns, no replication
+    /// thread of this leader is left. Idempotent.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.listener.close();
+        let live = std::mem::take(&mut *self.streams.lock());
+        for (socket, _) in &live {
+            socket.shutdown();
+        }
+        self.wal.wake_waiters();
+        for (_, thread) in live {
+            let _ = thread.join();
+        }
+        if let Some(t) = self.accept_thread.lock().take() {
+            let _ = t.join();
+        }
     }
 }
 
 impl Drop for WalReplicator {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -222,8 +244,7 @@ fn stream_to_follower(
     stop: &AtomicBool,
     acked: &AtomicU64,
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(POLL))?;
-    let (kind, follower_len, payload) = read_frame(&mut stream, stop)?;
+    let (kind, follower_len, payload) = read_frame(&mut stream)?;
     if kind != HELLO || payload.len() != 4 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -240,7 +261,7 @@ fn stream_to_follower(
     let mut sent = if prefix_ok {
         follower_len
     } else {
-        full_resync(wal, &mut stream, stop)?
+        full_resync(wal, &mut stream)?
     };
     obs::registry().counter("wal_repl_followers_total").inc();
     obs::trace::event(
@@ -252,20 +273,13 @@ fn stream_to_follower(
         ),
     );
 
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let durable = wal.wait_for_growth(sent, POLL);
-        if durable <= sent {
-            continue;
-        }
+    while wal.wait_for_growth(sent, stop).is_some() {
         let batch = wal.read_from(sent)?;
         write_frame(&mut stream, APPEND, sent, &batch)?;
         obs::registry()
             .counter("wal_repl_records_sent_total")
             .add(batch.len() as u64);
-        match read_frame(&mut stream, stop)? {
+        match read_frame(&mut stream)? {
             (ACK, new_len, _) => {
                 sent = new_len;
                 acked.fetch_max(new_len, Ordering::SeqCst);
@@ -273,7 +287,7 @@ fn stream_to_follower(
             (NACK, _, _) => {
                 // Gap or local write failure on the follower: start over
                 // from a coherent state.
-                sent = full_resync(wal, &mut stream, stop)?;
+                sent = full_resync(wal, &mut stream)?;
             }
             (kind, ..) => {
                 return Err(std::io::Error::new(
@@ -283,15 +297,16 @@ fn stream_to_follower(
             }
         }
     }
+    Ok(())
 }
 
 /// Ships the whole log and waits for the fsync ack. Returns the acked
 /// length.
-fn full_resync(wal: &VersionWal, stream: &mut Stream, stop: &AtomicBool) -> std::io::Result<u64> {
+fn full_resync(wal: &VersionWal, stream: &mut Stream) -> std::io::Result<u64> {
     let all = wal.read_from(0)?;
     write_frame(stream, RESYNC, 0, &all)?;
     obs::registry().counter("wal_repl_resyncs_total").inc();
-    match read_frame(stream, stop)? {
+    match read_frame(stream)? {
         (ACK, new_len, _) => Ok(new_len),
         _ => Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -310,12 +325,92 @@ struct FollowerShared {
     records: AtomicU64,
     connected: AtomicBool,
     resyncs: AtomicU64,
+    link: Mutex<Link>,
+    /// Raised on every fsync-acked durable length, on connect and
+    /// disconnect, and on stop.
+    changed: Notify,
+}
+
+/// The stop flag and the live leader socket, under one lock: a stop
+/// racing a connect either finds the socket registered and shuts it
+/// down, or is seen by the connecting thread before it registers.
+#[derive(Debug, Default)]
+struct Link {
+    stopped: bool,
+    socket: Option<Stream>,
+}
+
+impl FollowerShared {
+    fn stopped(&self) -> bool {
+        self.link.lock().stopped
+    }
+
+    /// Registers the live connection; false once stopped.
+    fn attach(&self, stream: &Stream) -> std::io::Result<bool> {
+        let mut link = self.link.lock();
+        if link.stopped {
+            return Ok(false);
+        }
+        link.socket = Some(stream.try_clone()?);
+        Ok(true)
+    }
+
+    fn detach(&self) {
+        self.link.lock().socket = None;
+        self.set_connected(false);
+    }
+
+    fn stop(&self) {
+        {
+            let mut link = self.link.lock();
+            link.stopped = true;
+            if let Some(socket) = link.socket.take() {
+                socket.shutdown();
+            }
+        }
+        self.changed.notify();
+    }
+
+    fn set_connected(&self, connected: bool) {
+        self.connected.store(connected, Ordering::SeqCst);
+        self.changed.notify();
+    }
+
+    fn set_durable(&self, len: u64, records: u64) {
+        self.durable_len.store(len, Ordering::SeqCst);
+        self.records.store(records, Ordering::SeqCst);
+        self.changed.notify();
+    }
+
+    /// Waits until `ready` holds, the deadline passes, or the follower
+    /// stops; returns `ready`'s final value.
+    fn wait_for(&self, timeout: Duration, ready: impl Fn(&FollowerShared) -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        self.changed
+            .wait_until(Some(deadline), || ready(self) || self.stopped());
+        ready(self)
+    }
+}
+
+/// A cloneable view of a follower's progress, for waiting on it without
+/// holding the [`WalFollower`] itself.
+#[derive(Debug, Clone)]
+pub struct FollowerProgress(Arc<FollowerShared>);
+
+impl FollowerProgress {
+    /// Blocks until the follower holds a leader connection and its
+    /// durable prefix reaches `target_len` bytes. Returns false on
+    /// timeout or once the follower is stopped.
+    pub fn wait_synced(&self, target_len: u64, timeout: Duration) -> bool {
+        self.0.wait_for(timeout, |s| {
+            s.connected.load(Ordering::SeqCst) && s.durable_len.load(Ordering::SeqCst) >= target_len
+        })
+    }
 }
 
 /// Follower side: keeps a local replica [`VersionWal`] in sync with a
 /// leader, reconnecting with backoff until stopped.
 pub struct WalFollower {
-    stop: Arc<AtomicBool>,
     shared: Arc<FollowerShared>,
     replica_path: PathBuf,
     thread: Option<JoinHandle<()>>,
@@ -325,38 +420,32 @@ impl WalFollower {
     /// Starts replicating from the leader at `leader_addr` into the
     /// replica log at `replica_path`.
     pub fn start(leader_addr: &str, replica_path: &std::path::Path) -> WalFollower {
-        let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(FollowerShared::default());
         let thread = {
             let leader_addr = leader_addr.to_string();
             let replica_path = replica_path.to_path_buf();
-            let stop = stop.clone();
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("wal-repl-follower".into())
                 .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        match follow_once(&leader_addr, &replica_path, &stop, &shared) {
-                            Ok(()) => break, // clean stop
-                            Err(e) => {
-                                shared.connected.store(false, Ordering::SeqCst);
-                                if !stop.load(Ordering::SeqCst) {
-                                    obs::trace::event(
-                                        "sde::walrepl",
-                                        "follower-reconnect",
-                                        format!("error={e}"),
-                                    );
-                                    std::thread::sleep(Duration::from_millis(20));
-                                }
-                            }
+                    while !shared.stopped() {
+                        let result = follow_once(&leader_addr, &replica_path, &shared);
+                        shared.detach();
+                        let Err(e) = result else { break };
+                        if shared.stopped() {
+                            break;
                         }
+                        obs::trace::event(
+                            "sde::walrepl",
+                            "follower-reconnect",
+                            format!("error={e}"),
+                        );
+                        shared.wait_for(RECONNECT_BACKOFF, |_| false);
                     }
-                    shared.connected.store(false, Ordering::SeqCst);
                 })
                 .expect("spawn wal follower thread")
         };
         WalFollower {
-            stop,
             shared,
             replica_path: replica_path.to_path_buf(),
             thread: Some(thread),
@@ -389,25 +478,31 @@ impl WalFollower {
         &self.replica_path
     }
 
-    /// Catch-up mode: blocks until the replica's durable prefix reaches
-    /// `target_len` bytes (or `timeout` passes). A planned migration
-    /// attaches a temporary follower to the source's replicator while
-    /// the source keeps serving, then — once the source is quiescent and
-    /// its log can no longer grow — waits here for exact convergence.
-    pub fn wait_caught_up(&self, target_len: u64, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        while self.durable_len() < target_len {
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        true
+    /// A handle for waiting on this follower's progress.
+    pub fn progress(&self) -> FollowerProgress {
+        FollowerProgress(self.shared.clone())
     }
 
-    /// Stops replicating and joins the worker thread.
+    /// Catch-up mode: blocks until the replica's durable prefix reaches
+    /// `target_len` bytes (or `timeout` passes), woken by the fsync-acked
+    /// append that gets there. A planned migration attaches a temporary
+    /// follower to the source's replicator while the source keeps
+    /// serving, then — once the source is quiescent and its log can no
+    /// longer grow — waits here for exact convergence.
+    pub fn wait_caught_up(&self, target_len: u64, timeout: Duration) -> bool {
+        self.shared.wait_for(timeout, |s| {
+            s.durable_len.load(Ordering::SeqCst) >= target_len
+        })
+    }
+
+    /// Stops replicating and joins the worker thread. The thread's
+    /// socket is shut down, so this does not wait on the leader.
     pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.halt();
+    }
+
+    fn halt(&mut self) {
+        self.shared.stop();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -416,43 +511,41 @@ impl WalFollower {
 
 impl Drop for WalFollower {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.halt();
     }
 }
 
-/// One leader session: connect, handshake, apply frames until error or
-/// stop.
+/// One leader session: connect, handshake, apply frames until the
+/// connection ends. Returns `Ok` only when a stop won the race with the
+/// connect.
 fn follow_once(
     leader_addr: &str,
     replica_path: &std::path::Path,
-    stop: &AtomicBool,
     shared: &FollowerShared,
 ) -> std::io::Result<()> {
-    let mut stream = connect_with(leader_addr, Some(POLL))
+    let mut stream = connect(leader_addr)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::ConnectionRefused, e.to_string()))?;
+    if !shared.attach(&stream)? {
+        return Ok(());
+    }
     // Opening replays (and truncates any torn tail), so the durable
     // length we advertise is exactly the intact prefix.
     let wal = VersionWal::open(replica_path)?;
     let durable = wal.durable_len();
     let crc = wal.prefix_crc()?;
     write_frame(&mut stream, HELLO, durable, &crc.to_be_bytes())?;
-    shared.durable_len.store(durable, Ordering::SeqCst);
-    shared.records.store(wal.record_count(), Ordering::SeqCst);
-    shared.connected.store(true, Ordering::SeqCst);
+    shared.set_durable(durable, wal.record_count());
+    shared.set_connected(true);
 
     loop {
-        let (kind, arg, payload) = read_frame(&mut stream, stop)?;
+        let (kind, arg, payload) = read_frame(&mut stream)?;
         match kind {
             APPEND => {
                 let durable = wal.durable_len();
                 if arg == durable {
                     match wal.append_raw(&payload) {
                         Ok(new_len) => {
-                            shared.durable_len.store(new_len, Ordering::SeqCst);
-                            shared.records.store(wal.record_count(), Ordering::SeqCst);
+                            shared.set_durable(new_len, wal.record_count());
                             obs::registry().counter("wal_repl_acks_total").inc();
                             write_frame(&mut stream, ACK, new_len, &[])?;
                         }
@@ -477,9 +570,8 @@ fn follow_once(
             }
             RESYNC => {
                 let new_len = wal.reset_to(&payload)?;
-                shared.durable_len.store(new_len, Ordering::SeqCst);
-                shared.records.store(wal.record_count(), Ordering::SeqCst);
                 shared.resyncs.fetch_add(1, Ordering::SeqCst);
+                shared.set_durable(new_len, wal.record_count());
                 write_frame(&mut stream, ACK, new_len, &[])?;
             }
             kind => {
@@ -599,24 +691,22 @@ mod tests {
         let listener = Listener::bind("mem://walrepl-dup").unwrap();
         let follower =
             WalFollower::start(&listener.local_addr().to_string(), &dir.join("replica.wal"));
-        let stop = AtomicBool::new(false);
         let mut leader_side = listener.accept().unwrap();
-        leader_side.set_read_timeout(Some(POLL)).unwrap();
-        let (kind, len, _) = read_frame(&mut leader_side, &stop).unwrap();
+        let (kind, len, _) = read_frame(&mut leader_side).unwrap();
         assert_eq!((kind, len), (HELLO, 0));
         // First delivery applies...
         write_frame(&mut leader_side, APPEND, 0, &record).unwrap();
-        let (kind, acked, _) = read_frame(&mut leader_side, &stop).unwrap();
+        let (kind, acked, _) = read_frame(&mut leader_side).unwrap();
         assert_eq!((kind, acked), (ACK, record.len() as u64));
         // ...a replayed delivery of the same offset is acked without
         // growing the replica.
         write_frame(&mut leader_side, APPEND, 0, &record).unwrap();
-        let (kind, acked, _) = read_frame(&mut leader_side, &stop).unwrap();
+        let (kind, acked, _) = read_frame(&mut leader_side).unwrap();
         assert_eq!((kind, acked), (ACK, record.len() as u64));
         assert_eq!(follower.records_applied(), 1, "duplicate must not re-apply");
         // A gap (offset beyond the replica) is refused with NACK.
         write_frame(&mut leader_side, APPEND, 10_000, &record).unwrap();
-        let (kind, have, _) = read_frame(&mut leader_side, &stop).unwrap();
+        let (kind, have, _) = read_frame(&mut leader_side).unwrap();
         assert_eq!((kind, have), (NACK, record.len() as u64));
         follower.stop();
         let _ = std::fs::remove_dir_all(&dir);
@@ -715,6 +805,83 @@ mod tests {
         follower.stop();
         let replica = open_wal(&dir.join("catchup.wal"));
         assert_eq!(replica.floor("/E.wsdl"), Some(11));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Stopping a connected, idle follower shuts its socket down instead
+    /// of waiting out a read timeout.
+    #[test]
+    fn stopping_an_idle_connected_follower_is_prompt() {
+        let dir = temp_dir("stop");
+        let leader = open_wal(&dir.join("leader.wal"));
+        leader.append("/S.wsdl", 1).unwrap();
+        let repl = WalReplicator::serve(leader.clone(), "mem://walrepl-stop").unwrap();
+        let mut stops = Vec::new();
+        for round in 0..20 {
+            let follower = WalFollower::start(repl.addr(), &dir.join(format!("r{round}.wal")));
+            assert!(follower
+                .progress()
+                .wait_synced(leader.durable_len(), Duration::from_secs(5)));
+            let started = Instant::now();
+            follower.stop();
+            stops.push(started.elapsed());
+        }
+        stops.sort();
+        let median = stops[stops.len() / 2];
+        assert!(
+            median < Duration::from_millis(10),
+            "median stop took {median:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `wait_caught_up` sleeps through an ACK that falls short of the
+    /// target and returns on the ACK that reaches it.
+    #[test]
+    fn wait_caught_up_returns_on_the_ack_that_reaches_the_target() {
+        let dir = temp_dir("ackwake");
+        let donor = open_wal(&dir.join("donor.wal"));
+        donor.append("/F.idl", 1).unwrap();
+        let first = donor.read_from(0).unwrap();
+        donor.append("/F.idl", 2).unwrap();
+        let second = donor.read_from(first.len() as u64).unwrap();
+        let target = donor.durable_len();
+
+        let listener = Listener::bind("mem://walrepl-ackwake").unwrap();
+        let follower = Arc::new(WalFollower::start(
+            &listener.local_addr().to_string(),
+            &dir.join("replica.wal"),
+        ));
+        let mut leader_side = listener.accept().unwrap();
+        assert_eq!(read_frame(&mut leader_side).unwrap().0, HELLO);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let follower = follower.clone();
+            std::thread::spawn(move || {
+                let reached = follower.wait_caught_up(target, Duration::from_secs(10));
+                done_tx.send(Instant::now()).unwrap();
+                reached
+            })
+        };
+        write_frame(&mut leader_side, APPEND, 0, &first).unwrap();
+        assert_eq!(read_frame(&mut leader_side).unwrap().0, ACK);
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "an ACK short of the target must not end the wait"
+        );
+        write_frame(&mut leader_side, APPEND, first.len() as u64, &second).unwrap();
+        let (kind, acked, _) = read_frame(&mut leader_side).unwrap();
+        let acked_at = Instant::now();
+        assert_eq!((kind, acked), (ACK, target));
+        let woke_at = done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the reaching ACK ends the wait");
+        assert!(waiter.join().unwrap());
+        assert!(
+            woke_at.saturating_duration_since(acked_at) < Duration::from_millis(500),
+            "woken by the ACK, not by the timeout"
+        );
+        Arc::try_unwrap(follower).ok().expect("sole owner").stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

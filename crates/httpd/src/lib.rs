@@ -42,6 +42,7 @@
 mod client;
 mod error;
 pub mod fault;
+mod gate;
 mod message;
 mod pool;
 mod rserver;
@@ -51,8 +52,9 @@ pub mod transport;
 pub use client::{Connection, HttpClient};
 pub use error::HttpError;
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultSide};
+pub use gate::{Admitted, DrainGate};
 pub use message::{Headers, Limits, Method, Request, Response, Status};
 pub use pool::ConnectionPool;
 #[doc(hidden)]
 pub use rserver::accept_into_reactor;
-pub use server::{Handler, HttpServer, PoolConfig, ServerGate};
+pub use server::{Handler, HttpServer, PoolConfig};

@@ -13,13 +13,13 @@
 //! the request.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use obs::metrics::{Counter, Histogram};
 
 use crate::error::HttpError;
+use crate::gate::DrainGate;
 use crate::message::{Limits, Request, Response};
 use crate::rserver::ReactorServer;
 use crate::transport::Addr;
@@ -69,72 +69,18 @@ where
     }
 }
 
-/// Per-server drain gate and in-flight accounting: every request passes
-/// through it on its way to the handler.
-///
-/// Planned reconfiguration (shard migration, rolling restart) needs two
-/// things from an endpoint: an exact count of requests currently inside
-/// the handler — so the operator can detect quiescence à la
-/// Matevska-Meyer instead of guessing — and a way to refuse *new* work
-/// with a retryable 503 + `Retry-After` while the in-flight requests
-/// run to completion. The admission order (increment, then check the
-/// drain flag, SeqCst both sides) guarantees that once a drainer has
-/// set the flag and observed `in_flight() == 0`, no request can slip
-/// past it into the handler.
-#[derive(Debug, Default)]
-pub struct ServerGate {
-    in_flight: AtomicU64,
-    draining: AtomicBool,
-    retry_after_ms: AtomicU64,
-}
-
-impl ServerGate {
-    /// Requests currently executing inside the handler.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::SeqCst)
-    }
-
-    /// Starts refusing new requests with 503 + `retry_after`; requests
-    /// already inside the handler run to completion.
-    pub fn begin_drain(&self, retry_after: Duration) {
-        self.retry_after_ms
-            .store(retry_after.as_millis() as u64, Ordering::SeqCst);
-        self.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Resumes normal admission.
-    pub fn end_drain(&self) {
-        self.draining.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether the gate is currently refusing new requests.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-}
-
-/// Wraps the application handler with the server's [`ServerGate`].
+/// Wraps the application handler with the server's [`DrainGate`].
 struct GatedHandler {
     inner: Arc<dyn Handler>,
-    gate: Arc<ServerGate>,
+    gate: Arc<DrainGate>,
 }
 
 impl Handler for GatedHandler {
     fn handle(&self, req: &Request) -> Response {
-        // Increment *before* checking the flag: with SeqCst, a drainer
-        // that stores the flag and then reads a zero count knows no
-        // admission can still be racing toward the handler.
-        self.gate.in_flight.fetch_add(1, Ordering::SeqCst);
-        let out = if self.gate.draining.load(Ordering::SeqCst) {
-            Response::unavailable(
-                "server draining",
-                Duration::from_millis(self.gate.retry_after_ms.load(Ordering::SeqCst)),
-            )
-        } else {
-            self.inner.handle(req)
-        };
-        self.gate.in_flight.fetch_sub(1, Ordering::SeqCst);
-        out
+        match self.gate.admit() {
+            Ok(_inside) => self.inner.handle(req),
+            Err(retry_after) => Response::unavailable("server draining", retry_after),
+        }
     }
 }
 
@@ -217,7 +163,7 @@ impl PoolConfig {
 /// See the [crate-level documentation](crate).
 pub struct HttpServer {
     inner: ReactorServer,
-    gate: Arc<ServerGate>,
+    gate: Arc<DrainGate>,
 }
 
 impl fmt::Debug for HttpServer {
@@ -253,7 +199,7 @@ impl HttpServer {
                 "pool config must be non-zero: {cfg:?}"
             )));
         }
-        let gate = Arc::new(ServerGate::default());
+        let gate = Arc::new(DrainGate::default());
         let handler: Arc<dyn Handler> = Arc::new(GatedHandler {
             inner: Arc::new(handler),
             gate: gate.clone(),
@@ -265,7 +211,7 @@ impl HttpServer {
     }
 
     /// The server's drain gate (in-flight accounting + drain-mode 503s).
-    pub fn gate(&self) -> &Arc<ServerGate> {
+    pub fn gate(&self) -> &Arc<DrainGate> {
         &self.gate
     }
 
@@ -304,6 +250,7 @@ mod tests {
     use crate::client::HttpClient;
     use crate::message::Status;
     use obs::sync::{Condvar, Mutex};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
 
     fn echo_handler(req: &Request) -> Response {

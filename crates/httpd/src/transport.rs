@@ -293,6 +293,7 @@ impl Listener {
     pub fn accept(&self) -> Result<Stream, HttpError> {
         let (stream, start) = self.accept_chaos()?;
         if let Start::After(d) = start {
+            // The injected accept delay is the fault being simulated.
             std::thread::sleep(d);
         }
         Ok(stream)
@@ -362,6 +363,7 @@ pub fn connect_with(addr: &str, read_timeout: Option<Duration>) -> Result<Stream
         return Err(HttpError::ConnectionRefused(parsed.to_string()));
     }
     if let Some(Injected::Delay(d)) = &injected {
+        // The injected connect delay is the fault being simulated.
         std::thread::sleep(*d);
     }
     let mut stream = match parsed {

@@ -157,6 +157,62 @@ impl fmt::Debug for Condvar {
     }
 }
 
+// --------------------------------------------------------------- Notify
+
+/// An explicit wakeup: an event counter plus a condvar.
+///
+/// [`Notify::wait_until`] re-checks the caller's condition after every
+/// [`Notify::notify`] and sleeps in between, so a thread waiting for "the
+/// last request left", "a new ACK landed" or "stop was requested" is
+/// woken by the event itself instead of polling on a timeout. The
+/// condition is evaluated *outside* the internal lock (it may take other
+/// locks), and the counter is read before each evaluation, so a notify
+/// that lands between the check and the sleep is never lost.
+#[derive(Debug, Default)]
+pub struct Notify {
+    events: Mutex<u64>,
+    cond: Condvar,
+}
+
+impl Notify {
+    pub const fn new() -> Self {
+        Self {
+            events: Mutex::new(0),
+            cond: Condvar::new(),
+        }
+    }
+
+    /// Announces an event and wakes every waiter.
+    pub fn notify(&self) {
+        *self.events.lock() += 1;
+        self.cond.notify_all();
+    }
+
+    /// Blocks until `done()` returns true or `deadline` passes (`None`
+    /// waits forever); `done` is re-evaluated after every notify.
+    /// Returns the final value of `done()`.
+    pub fn wait_until(&self, deadline: Option<Instant>, mut done: impl FnMut() -> bool) -> bool {
+        loop {
+            let seen = *self.events.lock();
+            if done() {
+                return true;
+            }
+            let mut events = self.events.lock();
+            while *events == seen {
+                match deadline {
+                    Some(d) => {
+                        if self.cond.wait_until(&mut events, d).timed_out() {
+                            drop(events);
+                            return done();
+                        }
+                    }
+                    None => self.cond.wait(&mut events),
+                }
+            }
+        }
+    }
+}
+
 // --------------------------------------------------------------- RwLock
 
 pub struct RwLock<T: ?Sized> {
@@ -317,5 +373,27 @@ mod tests {
         let mut g = m.lock();
         let r = c.wait_until(&mut g, Instant::now() - Duration::from_secs(1));
         assert!(r.timed_out());
+    }
+
+    #[test]
+    fn notify_wakes_a_waiter_without_a_timeout() {
+        let n = Arc::new(Notify::new());
+        let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (n2, f2) = (n.clone(), flag.clone());
+        let t = std::thread::spawn(move || {
+            n2.wait_until(None, || f2.load(std::sync::atomic::Ordering::SeqCst))
+        });
+        flag.store(true, std::sync::atomic::Ordering::SeqCst);
+        n.notify();
+        assert!(t.join().expect("waiter"));
+    }
+
+    #[test]
+    fn notify_wait_times_out_with_the_final_check() {
+        let n = Notify::new();
+        let started = Instant::now();
+        assert!(!n.wait_until(Some(Instant::now() + Duration::from_millis(5)), || false));
+        assert!(started.elapsed() >= Duration::from_millis(5));
+        assert!(n.wait_until(Some(Instant::now()), || true));
     }
 }

@@ -35,6 +35,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cde::CircuitBreaker;
+use obs::sync::Notify;
 use sde::{PublicationStrategy, SdeConfig, SdeManager, VersionWal, WalFollower};
 
 use crate::router::{
@@ -69,26 +70,32 @@ pub struct MigrationEvent {
 /// Options for [`crate::Router::begin_move`].
 #[derive(Debug, Clone, Default)]
 pub struct MoveOpts {
-    /// Dwell between catch-up and drain, checked for cancellation (and
-    /// source failover) every couple of milliseconds — the
-    /// deterministic window chaos tests use to cancel the move or kill
-    /// the source mid-migration.
+    /// Dwell between catch-up and drain, ended early by a cancel or a
+    /// failover of the source — the deterministic window chaos tests
+    /// use to cancel the move or kill the source mid-migration.
     pub settle: Duration,
 }
 
 /// Cancellation token for an in-progress migration.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MigrationCtl {
     cancelled: AtomicBool,
+    /// The router's fleet events: a cancel raises it so a migration
+    /// waiting in its settle dwell wakes at once.
+    events: Arc<Notify>,
 }
 
 impl MigrationCtl {
-    pub(crate) fn new() -> MigrationCtl {
-        MigrationCtl::default()
+    pub(crate) fn new(inner: &RouterInner) -> MigrationCtl {
+        MigrationCtl {
+            cancelled: AtomicBool::new(false),
+            events: inner.events.clone(),
+        }
     }
 
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::SeqCst);
+        self.events.notify();
     }
 
     pub fn is_cancelled(&self) -> bool {
@@ -131,7 +138,7 @@ pub(crate) fn begin_move(
     to_shard: usize,
     opts: MoveOpts,
 ) -> MigrationHandle {
-    let ctl = Arc::new(MigrationCtl::new());
+    let ctl = Arc::new(MigrationCtl::new(inner));
     let thread = {
         let inner = inner.clone();
         let class = class.to_string();
@@ -224,26 +231,24 @@ pub(crate) fn run_migration(
     }
     let catchup_ms = catchup_started.elapsed().as_secs_f64() * 1e3;
 
-    // Settle dwell: cancellation (and source-death) checkpoint.
+    // Settle dwell: cancellation (and source-death) checkpoint. Both
+    // raise the router's fleet events, which end the wait early.
     let settle_deadline = Instant::now() + opts.settle;
-    loop {
-        if ctl.is_cancelled() {
-            catchup.stop();
-            let _ = std::fs::remove_dir_all(&mig_dir);
-            obs::trace::event("router", "migration-cancelled", format!("class={class}"));
-            return Err(rerr(format!("move of {class} cancelled; source untouched")));
-        }
-        if source_superseded(inner, from_shard, src_gen) {
-            catchup.stop();
-            let _ = std::fs::remove_dir_all(&mig_dir);
-            return Err(rerr(format!(
-                "source shard {from_shard} failed over during catch-up; failover won"
-            )));
-        }
-        if Instant::now() >= settle_deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
+    inner.events.wait_until(Some(settle_deadline), || {
+        ctl.is_cancelled() || source_superseded(inner, from_shard, src_gen)
+    });
+    if ctl.is_cancelled() {
+        catchup.stop();
+        let _ = std::fs::remove_dir_all(&mig_dir);
+        obs::trace::event("router", "migration-cancelled", format!("class={class}"));
+        return Err(rerr(format!("move of {class} cancelled; source untouched")));
+    }
+    if source_superseded(inner, from_shard, src_gen) {
+        catchup.stop();
+        let _ = std::fs::remove_dir_all(&mig_dir);
+        return Err(rerr(format!(
+            "source shard {from_shard} failed over during catch-up; failover won"
+        )));
     }
 
     // ---- Phase 2: drain ----------------------------------------------
@@ -251,18 +256,19 @@ pub(crate) fn run_migration(
     let drain_deadline = drain_started + inner.cfg.drain_deadline;
     let gate = inner.class_gate(class);
     let parked_before = gate.parked.load(Ordering::SeqCst);
+    let retry_after = inner.cfg.retry_after;
     // The backend's own gates close too: a front call that snapshotted
     // its route before our flag flipped — or a CORBA call, which rides
     // the GIOP proxy and never sees the front gate — gets a retryable
     // refusal from the source itself.
     let soap_gate = src_manager.soap_server(class).map(|s| s.gate().clone());
     let orb_gate = src_manager.corba_server(class).map(|s| s.gate().clone());
-    gate.draining.store(true, Ordering::SeqCst);
+    gate.gate.begin_drain(retry_after);
     if let Some(g) = &soap_gate {
-        g.begin_drain(inner.cfg.retry_after);
+        g.begin_drain(retry_after);
     }
     if let Some(g) = &orb_gate {
-        g.begin_drain(inner.cfg.retry_after.as_millis().max(1) as u64);
+        g.begin_drain(retry_after.max(Duration::from_millis(1)));
     }
     let reopen = || {
         if let Some(g) = &soap_gate {
@@ -271,32 +277,31 @@ pub(crate) fn run_migration(
         if let Some(g) = &orb_gate {
             g.end_drain();
         }
-        gate.draining.store(false, Ordering::SeqCst);
+        gate.gate.end_drain();
     };
 
     // Quiescence: no call in flight at the front for this class, none
-    // inside the source backend's servers.
-    loop {
-        let quiescent = gate.in_flight.load(Ordering::SeqCst) == 0
-            && soap_gate.as_ref().is_none_or(|g| g.in_flight() == 0)
-            && orb_gate.as_ref().is_none_or(|g| g.in_flight() == 0);
-        if quiescent {
-            break;
-        }
-        if ctl.is_cancelled() || Instant::now() >= drain_deadline {
-            reopen();
-            catchup.stop();
-            let _ = std::fs::remove_dir_all(&mig_dir);
-            return Err(if ctl.is_cancelled() {
-                rerr(format!("move of {class} cancelled; source untouched"))
-            } else {
-                rerr(format!(
-                    "drain of {class} missed the {}ms deadline; source untouched",
-                    inner.cfg.drain_deadline.as_millis()
-                ))
-            });
-        }
-        std::thread::sleep(Duration::from_micros(500));
+    // inside the source backend's servers. Each gate's last exit wakes
+    // the wait; a cancel raised meanwhile is honored right after it.
+    let quiescent = gate.gate.wait_quiescent(drain_deadline)
+        && soap_gate
+            .as_ref()
+            .is_none_or(|g| g.wait_quiescent(drain_deadline))
+        && orb_gate
+            .as_ref()
+            .is_none_or(|g| g.wait_quiescent(drain_deadline));
+    if !quiescent || ctl.is_cancelled() {
+        reopen();
+        catchup.stop();
+        let _ = std::fs::remove_dir_all(&mig_dir);
+        return Err(if ctl.is_cancelled() {
+            rerr(format!("move of {class} cancelled; source untouched"))
+        } else {
+            rerr(format!(
+                "drain of {class} missed the {}ms deadline; source untouched",
+                inner.cfg.drain_deadline.as_millis()
+            ))
+        });
     }
     // The class is quiescent, so its WAL is frozen: demand *exact*
     // convergence before moving anything.
@@ -508,7 +513,7 @@ pub(crate) fn drain_shard(
             &class,
             to,
             &MoveOpts::default(),
-            &MigrationCtl::new(),
+            &MigrationCtl::new(inner),
         )?);
     }
     obs::trace::event("router", "shard-drained", format!("shard={n}"));
@@ -543,7 +548,7 @@ pub(crate) fn rolling_restart(
                 &class,
                 n,
                 &MoveOpts::default(),
-                &MigrationCtl::new(),
+                &MigrationCtl::new(inner),
             )?);
         }
     }
@@ -567,6 +572,7 @@ fn restart_shard(inner: &Arc<RouterInner>, n: usize) -> Result<(), RouterError> 
     }
     let result = do_restart(inner, n);
     inner.failing_over[n].store(false, Ordering::SeqCst);
+    inner.events.notify();
     result
 }
 

@@ -10,10 +10,12 @@ use std::time::{Duration, Instant};
 
 use cde::{BreakerState, CircuitBreaker};
 use corba::Ior;
-use httpd::{ConnectionPool, Handler, HttpClient, HttpServer, Method, Request, Response, Status};
+use httpd::{
+    ConnectionPool, DrainGate, Handler, HttpClient, HttpServer, Method, Request, Response, Status,
+};
 use jpie::Value;
 use obs::rng::XorShift64;
-use obs::sync::{Mutex, RwLock};
+use obs::sync::{Mutex, Notify, RwLock};
 use sde::{PublicationStrategy, SdeConfig, SdeManager, SdeServerGateway, TransportKind};
 use sde::{WalFollower, WalReplicator};
 
@@ -209,15 +211,12 @@ pub(crate) struct Route {
     pub(crate) soap_url: String,
 }
 
-/// Per-class admission gate at the front proxy. A drain sets
-/// `draining` and waits for `in_flight` to reach zero; the hot path
-/// increments `in_flight` *before* checking the flag, so under SeqCst
-/// ordering no call can slip past an observed-quiescent gate
-/// (Matevska-Meyer quiescence, at the routing tier).
+/// Per-class admission at the front proxy: the shared [`DrainGate`]
+/// (Matevska-Meyer quiescence, at the routing tier) plus the count of
+/// calls it refused.
 #[derive(Default)]
 pub(crate) struct ClassGate {
-    pub(crate) draining: AtomicBool,
-    pub(crate) in_flight: AtomicU64,
+    pub(crate) gate: DrainGate,
     /// Calls answered 503 while draining (the "pause" the client saw).
     pub(crate) parked: AtomicU64,
 }
@@ -252,6 +251,10 @@ pub(crate) struct RouterInner {
     /// Seeded jitter stream for Retry-After hints.
     pub(crate) retry_jitter: Mutex<XorShift64>,
     pub(crate) stop: AtomicBool,
+    /// Raised on fleet state changes a waiter may be blocked on: stop,
+    /// a failover starting or finishing, a restart finishing, a
+    /// migration cancel.
+    pub(crate) events: Arc<Notify>,
 }
 
 /// The sharded authority router.
@@ -374,6 +377,7 @@ impl Router {
             last_migration: Mutex::new(None),
             retry_jitter: Mutex::new(XorShift64::seed_from_u64(cfg.seed)),
             stop: AtomicBool::new(false),
+            events: Arc::new(Notify::new()),
             cfg,
         });
 
@@ -529,7 +533,7 @@ impl Router {
             class,
             to_shard,
             &MoveOpts::default(),
-            &MigrationCtl::new(),
+            &MigrationCtl::new(&self.inner),
         )
     }
 
@@ -592,32 +596,60 @@ impl Router {
 
     /// Waits until every shard is alive with a connected, fully
     /// caught-up follower. Returns false on timeout.
+    ///
+    /// Each shard's follower is waited on directly (woken by its ACKs);
+    /// while a shard is failing over or has no follower, the wait is on
+    /// the router's fleet events instead.
     pub fn wait_converged(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            let ok = self
-                .status()
-                .iter()
-                .all(|s| s.alive && s.follower_connected && s.lag_records == 0)
-                && !self
-                    .inner
-                    .failing_over
-                    .iter()
-                    .any(|f| f.load(Ordering::SeqCst));
-            if ok {
+            if !self
+                .inner
+                .events
+                .wait_until(Some(deadline), || self.fleet_settled())
+            {
+                return false;
+            }
+            let caught_up = (0..self.inner.cfg.shards).all(|i| {
+                let (target, progress) = {
+                    let shard = self.inner.shards[i].lock();
+                    let target = shard.backend.manager.wal().map_or(0, |w| w.durable_len());
+                    (
+                        target,
+                        shard.backend.follower.as_ref().map(|f| f.progress()),
+                    )
+                };
+                progress.is_some_and(|p| {
+                    p.wait_synced(target, deadline.saturating_duration_since(Instant::now()))
+                })
+            });
+            if caught_up {
                 return true;
             }
             if Instant::now() >= deadline {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(5));
         }
+    }
+
+    /// No shard dead, failing over, or without a follower.
+    fn fleet_settled(&self) -> bool {
+        !self
+            .inner
+            .failing_over
+            .iter()
+            .any(|f| f.load(Ordering::SeqCst))
+            && self.inner.shards.iter().all(|s| {
+                let shard = s.lock();
+                !shard.dead && shard.backend.follower.is_some()
+            })
     }
 
     /// Stops everything: health loop, fronts, every backend and
     /// follower.
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
+        self.inner.events.notify();
         if let Some(h) = self.health.lock().take() {
             let _ = h.join();
         }
@@ -818,12 +850,16 @@ impl RouterInner {
         {
             return;
         }
+        // A migration waiting in its settle dwell re-checks whether its
+        // source has been superseded.
+        self.events.notify();
         let inner = self.clone();
         let _ = std::thread::Builder::new()
             .name(format!("router-failover-s{shard}"))
             .spawn(move || {
                 let result = failover(&inner, shard);
                 inner.failing_over[shard].store(false, Ordering::SeqCst);
+                inner.events.notify();
                 if let Err(e) = result {
                     obs::registry()
                         .counter("router_failover_errors_total")
@@ -969,7 +1005,11 @@ fn health_loop(inner: &Arc<RouterInner>) {
                 inner.note_failure(i);
             }
         }
-        std::thread::sleep(inner.cfg.health_interval);
+        // The probe interval, cut short by `Router::shutdown`.
+        let next_round = Instant::now() + inner.cfg.health_interval;
+        inner
+            .events
+            .wait_until(Some(next_round), || inner.stop.load(Ordering::SeqCst));
     }
 }
 
@@ -1066,23 +1106,18 @@ impl FrontHandler {
         if route.wire != Wire::Soap || route.soap_authority.is_empty() {
             return Response::bad_request("router: not a SOAP class");
         }
-        // Drain admission: count ourselves in-flight *before* reading
-        // the flag, so a drainer that observes in_flight == 0 after
-        // setting `draining` knows no further call can reach the
-        // backend (SeqCst totally orders the two).
         let gate = self.inner.class_gate(class);
-        gate.in_flight.fetch_add(1, Ordering::SeqCst);
-        let resp = if gate.draining.load(Ordering::SeqCst) {
-            gate.parked.fetch_add(1, Ordering::SeqCst);
-            obs::registry().counter("router_drain_parked_total").inc();
-            Response::unavailable(
-                "router: class migrating, retry shortly",
-                self.inner.jittered_retry_after(),
-            )
-        } else {
-            self.forward_call(&route, path, req)
+        let resp = match gate.gate.admit() {
+            Ok(_inside) => self.forward_call(&route, path, req),
+            Err(_) => {
+                gate.parked.fetch_add(1, Ordering::SeqCst);
+                obs::registry().counter("router_drain_parked_total").inc();
+                Response::unavailable(
+                    "router: class migrating, retry shortly",
+                    self.inner.jittered_retry_after(),
+                )
+            }
         };
-        gate.in_flight.fetch_sub(1, Ordering::SeqCst);
         resp
     }
 

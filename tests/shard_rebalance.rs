@@ -11,7 +11,7 @@
 //! existing failover path; a cancelled one must leave the source
 //! byte-identical.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use live_rmi::cde::{ClientEnvironment, ResiliencePolicy};
 use live_rmi::router::{ClassSpec, HashRing, MoveOpts, Router, RouterConfig};
@@ -360,6 +360,55 @@ fn cancelled_migration_leaves_source_wal_and_routes_byte_identical() {
     assert_eq!(router.shard_of(&victim), home);
     env.call(&stub, "bump", &[]).expect("post-cancel call");
     assert_eq!(router.field_value(&victim, "n"), Some(5));
+
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&wal_root);
+}
+
+/// A cancel wakes a migration parked in a long settle dwell: `join`
+/// returns at once instead of when the dwell ends, and the source is
+/// left byte-identical.
+#[test]
+fn cancel_during_a_long_settle_returns_promptly() {
+    const SHARDS: usize = 2;
+    let wal_root = temp_root("rb-cancel-fast");
+    let cfg = RouterConfig::new(SHARDS, TransportKind::Mem, &wal_root, "rb-cancel-fast");
+    let classes = pick_classes(SHARDS, cfg.vnodes, "RbFast");
+    let specs = classes
+        .iter()
+        .map(|(name, _)| ClassSpec::soap(name.clone(), counter_source(name)))
+        .collect();
+    let router = Router::start(cfg, specs).expect("router start");
+    assert!(router.wait_converged(Duration::from_secs(10)));
+
+    let (victim, home) = classes[0].clone();
+    let leader_dir = wal_root.join(format!("s{home}-leader"));
+    let pre_wal = dir_bytes(&leader_dir);
+    let pre_routes = router.assignments();
+    let handle = router.begin_move(
+        &victim,
+        (home + 1) % SHARDS,
+        MoveOpts {
+            settle: Duration::from_secs(10),
+        },
+    );
+    // Catch-up takes a few milliseconds; by now the move is settling.
+    std::thread::sleep(Duration::from_millis(200));
+    let cancelled_at = Instant::now();
+    handle.cancel();
+    let err = handle.join().expect_err("cancel must abort the move");
+    let took = cancelled_at.elapsed();
+    assert!(err.to_string().contains("cancelled"), "got: {err}");
+    assert!(
+        took < Duration::from_millis(100),
+        "join took {took:?} after cancel"
+    );
+    assert_eq!(router.assignments(), pre_routes, "routes untouched");
+    assert_eq!(
+        dir_bytes(&leader_dir),
+        pre_wal,
+        "source WAL byte-identical after cancel"
+    );
 
     router.shutdown();
     let _ = std::fs::remove_dir_all(&wal_root);
